@@ -9,9 +9,9 @@
 //
 // Every run the console reporter prints is also recorded — including
 // the _mean/_median/_stddev aggregate rows under --benchmark_repetitions
-// — with the per-iteration real/CPU values of the console columns. All
-// benches in this tree use the default nanosecond time unit, so those
-// values are nanoseconds.
+// — with the per-iteration real/CPU values of the console columns,
+// converted from each run's time unit (some benches report in ms) to
+// the nanoseconds the artifact schema stores.
 
 #include <benchmark/benchmark.h>
 
@@ -32,9 +32,14 @@ class JsonBenchReporter : public ::benchmark::ConsoleReporter {
       // carry zero iterations, which the schema validator rightly
       // rejects. The per-size rows they were fitted from are recorded.
       if (run.report_big_o || run.report_rms) continue;
+      // The _cv aggregate is a ratio, not a time.
+      if (run.aggregate_unit == ::benchmark::kPercentage) continue;
+      const double to_nanos =
+          1e9 / ::benchmark::GetTimeUnitMultiplier(run.time_unit);
       entries_.push_back(BenchJsonEntry{
           run.benchmark_name(), static_cast<std::int64_t>(run.iterations),
-          run.GetAdjustedRealTime(), run.GetAdjustedCPUTime()});
+          run.GetAdjustedRealTime() * to_nanos,
+          run.GetAdjustedCPUTime() * to_nanos});
     }
     ConsoleReporter::ReportRuns(reports);
   }

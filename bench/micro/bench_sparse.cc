@@ -55,10 +55,12 @@ void BM_AddScaled(benchmark::State& state) {
 }
 BENCHMARK(BM_AddScaled)->Arg(16)->Arg(256)->Arg(4096);
 
-// Args: {dimension, nnz}. The second pairing pushes the accumulator
-// past its dense-mode threshold (touched >= dimension / 4), exercising
-// the vectorized dense harvest (harvest_count / harvest_fill kernels)
-// instead of the sparse touched-list sort.
+// Args: {dimension, nnz draws} (repeated draws coalesce, so slightly
+// fewer slots are touched). The accumulator switches from the touched-
+// list sort to the vectorized dense harvest (harvest_count /
+// harvest_fill kernels) once max(8, dimension/16) slots are touched.
+// The venue (640) and term (2500) pairs sit on both sides of that
+// crossover; EXPERIMENTS.md has the sweep that chose it.
 void BM_AccumulatorHarvest(benchmark::State& state) {
   const std::size_t dimension = static_cast<std::size_t>(state.range(0));
   const std::size_t nnz = static_cast<std::size_t>(state.range(1));
@@ -73,8 +75,12 @@ void BM_AccumulatorHarvest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AccumulatorHarvest)
-    ->Args({2560, 256})     // sparse regime: ~10% occupancy
-    ->Args({40960, 4096})   // sparse regime at scale
+    ->Args({640, 30})       // venue, sparse regime (below 40)
+    ->Args({640, 119})      // venue, dense regime
+    ->Args({2500, 100})     // term, sparse regime (below 156)
+    ->Args({2500, 252})     // term, dense regime
+    ->Args({2560, 256})     // dense regime: ~10% occupancy
+    ->Args({40960, 4096})   // dense regime at scale
     ->Args({4096, 2048})    // dense regime: half the slots touched
     ->Args({4096, 4000});   // dense regime: near-full occupancy
 

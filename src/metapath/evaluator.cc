@@ -17,14 +17,6 @@ NeighborVectorEvaluator::NeighborVectorEvaluator(HinPtr hin,
   epoch_ = hin_->epoch();
 }
 
-SparseVector NeighborVectorEvaluator::TraverseChunk(LocalId source,
-                                                    const EdgeStep& s1,
-                                                    const EdgeStep& s2) {
-  SparseVector unit = SparseVector::FromSorted({source}, {1.0});
-  SparseVector mid = counter_.PropagateStep(unit, s1);
-  return counter_.PropagateStep(mid, s2);
-}
-
 Result<SparseVector> NeighborVectorEvaluator::Evaluate(VertexRef v,
                                                        const MetaPath& path,
                                                        EvalStats* stats) {
@@ -72,6 +64,7 @@ Result<SparseVector> NeighborVectorEvaluator::EvaluateSteps(
       return stop_token_->ToStatus();
     }
     const TwoStepKey key{steps[i], steps[i + 1]};
+    const std::span<const EdgeStep> chunk = steps.subspan(i, 2);
     const TypeId target = hin_->schema().StepTarget(steps[i + 1]);
 
     // Fast path for the dominant case — a singleton frontier (the start
@@ -91,7 +84,7 @@ Result<SparseVector> NeighborVectorEvaluator::EvaluateSteps(
       } else {
         ScopedTimer timer(stats ? &stats->not_indexed : nullptr);
         if (stats) ++stats->index_misses;
-        frontier = TraverseChunk(row, steps[i], steps[i + 1]);
+        NETOUT_ASSIGN_OR_RETURN(frontier, counter_.NeighborVector(row, chunk));
         index_->RememberAt(key, row, frontier, epoch_);
         if (weight != 1.0) frontier.Scale(weight);
       }
@@ -118,7 +111,8 @@ Result<SparseVector> NeighborVectorEvaluator::EvaluateSteps(
       } else {
         ScopedTimer timer(stats ? &stats->not_indexed : nullptr);
         if (stats) ++stats->index_misses;
-        SparseVector two_hop = TraverseChunk(row, steps[i], steps[i + 1]);
+        NETOUT_ASSIGN_OR_RETURN(SparseVector two_hop,
+                                counter_.NeighborVector(row, chunk));
         index_->RememberAt(key, row, two_hop, epoch_);
         chunk_acc_.AddSpan(two_hop.indices(), two_hop.values(), weight);
       }

@@ -85,10 +85,6 @@ class NeighborVectorEvaluator {
   }
 
  private:
-  // Two-hop traversal for one frontier entry on an index miss.
-  SparseVector TraverseChunk(LocalId source, const EdgeStep& s1,
-                             const EdgeStep& s2);
-
   // The length-2 chunk decomposition loop (index attached): pushes the
   // frontier through full chunks via the index and a trailing odd hop
   // raw. Fails with the stop status when the installed token trips.

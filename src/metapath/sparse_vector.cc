@@ -129,11 +129,11 @@ void DenseAccumulator::Resize(std::size_t dimension) {
   if (dense_.size() < dimension) {
     dense_.resize(dimension, 0.0);
   }
-  // Dense-scan harvesting beats sort-based harvesting once roughly a
-  // quarter of the slots are live: the scan touches 4 slots per output
-  // entry (read-mostly, vectorized) while the sort pays O(log t) plus a
-  // gather per entry.
-  dense_switch_ = std::max<std::size_t>(8, dense_.size() / 4);
+  // Dense mode from dimension/16 touched slots on: the measured
+  // BM_AccumulatorHarvest sweep (EXPERIMENTS.md) puts the break-even
+  // between the vectorized full scan and the touched-list sort near
+  // dimension/16 for the small terminal types (venue, term).
+  dense_switch_ = std::max<std::size_t>(8, dense_.size() / 16);
 }
 
 void DenseAccumulator::Add(LocalId index, double value) {

@@ -112,11 +112,12 @@ double CosineSimilarity(SparseVecView a, SparseVecView b);
 ///
 /// Two harvesting regimes: while the touched set is small relative to
 /// the dimension, touched indices are tracked and Harvest sorts them
-/// (O(t log t)). Once the touched count crosses dimension/16 the
+/// (O(t log t)). Once the touched count reaches max(8, dimension/16) the
 /// accumulator flips to dense mode — tracking stops (adds become a pure
 /// scatter) and Harvest scans the whole dense array with the vectorized
 /// harvest kernels, which is both cheaper than the sort at that density
-/// and branch-light. Both regimes produce identical vectors.
+/// and branch-light. The crossover comes from a BM_AccumulatorHarvest
+/// sweep (DESIGN.md §10). Both regimes produce identical vectors.
 class DenseAccumulator {
  public:
   /// Grows the dense workspace to `dimension` slots if needed.

@@ -23,14 +23,42 @@ Result<SparseVector> PathCounter::NeighborVector(VertexRef v,
   if (v.local >= hin_->NumVertices(v.type)) {
     return Status::OutOfRange("vertex id out of range");
   }
-  SparseVector unit = SparseVector::FromSorted({v.local}, {1.0});
-  return RunHops(std::move(unit), path.steps());
+  return NeighborVector(v.local, path.steps());
+}
+
+Result<SparseVector> PathCounter::NeighborVector(
+    LocalId source, std::span<const EdgeStep> steps, double weight) {
+  if (steps.size() < 2) {
+    return RunHops(SparseVector::FromSorted({source}, {weight}), steps);
+  }
+  NETOUT_RETURN_IF_ERROR(PollStop());
+  const std::span<const CsrEntry> first = hin_->StepRow(steps[0], source);
+  NETOUT_RETURN_IF_ERROR(PollStop());
+  const TypeId target = hin_->schema().StepTarget(steps[1]);
+  DenseAccumulator& acc = acc_[target];
+  acc.Resize(hin_->NumVertices(target));
+  // Each first-hop slot would receive exactly one add into +0.0, so its
+  // harvested value is this product (an exact 0.0 would be dropped).
+  // Same products, same ascending-w order as propagating the harvested
+  // first hop, so the result is bitwise the two-pass one.
+  for (const CsrEntry& entry : first) {
+    const double value = weight * static_cast<double>(entry.count);
+    if (value == 0.0) continue;
+    acc.AddRow(hin_->StepRow(steps[1], entry.neighbor), value);
+  }
+  SparseVector frontier = acc.Harvest();
+  if (frontier.empty()) return frontier;
+  return RunHops(std::move(frontier), steps.subspan(2));
 }
 
 Result<SparseVector> PathCounter::Propagate(const SparseVector& frontier,
                                             const MetaPath& path) {
   if (path.types().empty()) {
     return Status::InvalidArgument("empty meta-path");
+  }
+  if (frontier.nnz() == 1) {
+    return NeighborVector(frontier.indices()[0], path.steps(),
+                          frontier.values()[0]);
   }
   return RunHops(frontier, path.steps());
 }
@@ -53,9 +81,7 @@ SparseVector PathCounter::PropagateStep(const SparseVector& frontier,
 Result<SparseVector> PathCounter::RunHops(SparseVector frontier,
                                           std::span<const EdgeStep> steps) {
   for (const EdgeStep& step : steps) {
-    if (stop_token_ != nullptr && stop_token_->ShouldStop()) {
-      return stop_token_->ToStatus();
-    }
+    NETOUT_RETURN_IF_ERROR(PollStop());
     frontier = PropagateStep(frontier, step);
     if (frontier.empty()) break;  // nothing reachable further on
   }

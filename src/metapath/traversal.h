@@ -29,9 +29,22 @@ class PathCounter {
   /// vector at v.
   Result<SparseVector> NeighborVector(VertexRef v, const MetaPath& path);
 
+  /// `weight` · φ along `steps` from the single vertex `source` (of the
+  /// first step's source type; not range-checked). Every single-vertex
+  /// start runs here. On a path of two or more steps the first hop
+  /// skips the accumulator (shorter paths run hop by hop): the CSR row
+  /// StepRow(steps[0], source) already is the sorted first-hop vector,
+  /// so hop 2 scatters each StepRow(steps[1], w) with weight
+  /// `weight·count(source, w)` straight into the target accumulator.
+  /// Bitwise identical to a PropagateStep chain from the unit frontier
+  /// (DESIGN.md §10). Polls the stop token once per hop.
+  Result<SparseVector> NeighborVector(LocalId source,
+                                      std::span<const EdgeStep> steps,
+                                      double weight = 1.0);
+
   /// Propagates an arbitrary starting frontier (over path.source_type())
-  /// along the path: result = frontierᵀ · M_P. Used by the decomposition
-  /// evaluator for trailing odd hops and by tests.
+  /// along the path: result = frontierᵀ · M_P. A singleton frontier takes
+  /// the single-vertex path above.
   Result<SparseVector> Propagate(const SparseVector& frontier,
                                  const MetaPath& path);
 
@@ -54,11 +67,17 @@ class PathCounter {
   void SetStopToken(const CancellationToken* token) { stop_token_ = token; }
 
  private:
-  // Runs the hops of `path` starting from a frontier already loaded into
-  // acc_[path.source_type() workspace]; leaves the result as a harvested
-  // vector. Polls the stop token once per hop.
+  // Runs `steps` hop by hop from `frontier`, harvesting after each hop.
+  // Polls the stop token once per hop.
   Result<SparseVector> RunHops(SparseVector frontier,
                                std::span<const EdgeStep> steps);
+
+  // The stop token's status if it tripped, else OK.
+  Status PollStop() const {
+    return stop_token_ != nullptr && stop_token_->ShouldStop()
+               ? stop_token_->ToStatus()
+               : Status::OK();
+  }
 
   HinPtr hin_;
   const CancellationToken* stop_token_ = nullptr;

@@ -198,8 +198,10 @@ Result<std::vector<Engine::PathExplanation>> Engine::Explain(
   NETOUT_ASSIGN_OR_RETURN(std::vector<VertexRef> candidates,
                           executor_.EvaluateSet(plan.candidate));
   if (!std::binary_search(candidates.begin(), candidates.end(), candidate)) {
-    return Status::NotFound("'" + std::string(candidate_name) +
-                            "' is not in the query's candidate set");
+    // Not `"'" + std::string(...)`: GCC 12 at -O3 raises a false
+    // -Wrestrict on that operator+ overload.
+    return Status::NotFound(std::string("'").append(candidate_name).append(
+        "' is not in the query's candidate set"));
   }
   std::vector<VertexRef> references;
   if (plan.reference.has_value()) {

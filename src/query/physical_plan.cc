@@ -110,7 +110,10 @@ void RenderOp(const std::unordered_map<std::size_t, std::size_t>& position,
   if (it == position.end()) return;  // input outside this op slice
   const PlanOpInfo& info = infos[it->second];
   out->append(static_cast<std::size_t>(depth) * 2, ' ');
-  *out += "#" + std::to_string(info.id) + " " + info.label;
+  // Appended piece by piece: GCC 12 at -O3 raises a false -Wrestrict
+  // on `"literal" + std::string&&`.
+  out->append("#").append(std::to_string(info.id)).append(" ").append(
+      info.label);
   if (!info.detail.empty()) *out += " " + info.detail;
   if (!printed->insert(id).second) {
     *out += " (see above)\n";
@@ -151,11 +154,14 @@ std::string FormatWhere(const Hin& hin, const ResolvedWhere& where) {
     case WhereExpr::Kind::kNot:
       return "NOT (" + FormatWhere(hin, *where.lhs) + ")";
     case WhereExpr::Kind::kAnd:
-      return "(" + FormatWhere(hin, *where.lhs) + " AND " +
-             FormatWhere(hin, *where.rhs) + ")";
-    case WhereExpr::Kind::kOr:
-      return "(" + FormatWhere(hin, *where.lhs) + " OR " +
-             FormatWhere(hin, *where.rhs) + ")";
+    case WhereExpr::Kind::kOr: {
+      std::string text = "(";
+      text += FormatWhere(hin, *where.lhs);
+      text += where.kind == WhereExpr::Kind::kAnd ? " AND " : " OR ";
+      text += FormatWhere(hin, *where.rhs);
+      text += ")";
+      return text;
+    }
   }
   return "?";
 }

@@ -36,8 +36,10 @@ Result<std::int64_t> PositiveInt(const JsonValue& value,
                                  std::string_view name) {
   Result<std::int64_t> parsed = value.AsInt64();
   if (!parsed.ok() || parsed.value() < 0) {
-    return Status::ParseError("'" + std::string(name) +
-                              "' must be a non-negative integer");
+    // Built with append: GCC 12 at -O3 raises a false -Wrestrict on
+    // `"'" + std::string&&` (also below).
+    return Status::ParseError(std::string("'").append(name).append(
+        "' must be a non-negative integer"));
   }
   return parsed;
 }
@@ -105,8 +107,8 @@ Result<Request> ParseRequest(std::string_view line,
   const auto parse_name = [&](const JsonValue& value, std::string_view name,
                               std::string* out) -> Status {
     if (!value.is_string() || value.string_value().empty()) {
-      return Status::ParseError("'" + std::string(name) +
-                                "' must be a non-empty string");
+      return Status::ParseError(std::string("'").append(name).append(
+          "' must be a non-empty string"));
     }
     *out = value.string_value();
     saw_mutation_member = true;
@@ -211,9 +213,9 @@ Result<Request> ParseRequest(std::string_view line,
              request.op == RequestOp::kDeleteEdge) {
     if (request.edge_type.empty() || request.src_name.empty() ||
         request.dst_name.empty()) {
-      return Status::ParseError("'" +
-                                std::string(RequestOpName(request.op)) +
-                                "' needs 'edge', 'src' and 'dst'");
+      return Status::ParseError(std::string("'")
+                                    .append(RequestOpName(request.op))
+                                    .append("' needs 'edge', 'src' and 'dst'"));
     }
     if (!request.vertex_type.empty() || !request.vertex_name.empty()) {
       return Status::ParseError(

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -13,14 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/scoped_temp_dir.h"
+
 namespace netout {
 namespace {
-
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("netout_binio_") + name))
-      .string();
-}
 
 TEST(BinaryIoTest, U64RoundTrip) {
   std::string buf;
@@ -88,10 +83,10 @@ TEST(BinaryIoTest, TruncatedReadsFailWithCorruption) {
 }
 
 TEST(BinaryIoTest, FileRoundTrip) {
-  const std::string path = TempPath("file");
+  const ScopedTempDir tmp("netout_binio");
+  const std::string path = tmp.File("file");
   ASSERT_TRUE(WriteStringToFile(path, "payload bytes").ok());
   EXPECT_EQ(ReadFileToString(path).value(), "payload bytes");
-  std::remove(path.c_str());
 }
 
 TEST(BinaryIoTest, MissingFileIsIoError) {
@@ -191,7 +186,8 @@ TEST(BinaryIoFdTest, WriteToBadFdIsIoError) {
 }
 
 TEST(AtomicWriteTest, RoundTripAndNoTempLeftover) {
-  const std::string path = TempPath("atomic");
+  const ScopedTempDir tmp("netout_binio");
+  const std::string path = tmp.File("atomic");
   ASSERT_TRUE(WriteStringToFileAtomic(path, "v1").ok());
   EXPECT_EQ(ReadFileToString(path).value(), "v1");
   // Overwrite must swap indivisibly and leave no *.tmp.* debris behind.
@@ -204,14 +200,14 @@ TEST(AtomicWriteTest, RoundTripAndNoTempLeftover) {
     EXPECT_EQ(name.find(stem + ".tmp."), std::string::npos)
         << "temp file leaked: " << name;
   }
-  std::remove(path.c_str());
 }
 
 TEST(AtomicWriteTest, ConcurrentSavesOfSamePathAllSucceed) {
   // Two threads saving one path must not collide on the temp file's
   // O_EXCL open: the temp name carries a per-call serial, not just the
   // pid. Whichever rename lands last wins, but every call succeeds.
-  const std::string path = TempPath("atomic_concurrent");
+  const ScopedTempDir tmp("netout_binio");
+  const std::string path = tmp.File("atomic_concurrent");
   constexpr int kThreads = 4;
   constexpr int kRounds = 8;
   std::atomic<int> failures{0};
@@ -231,7 +227,6 @@ TEST(AtomicWriteTest, ConcurrentSavesOfSamePathAllSucceed) {
   const auto final_content = ReadFileToString(path);
   ASSERT_TRUE(final_content.ok());
   EXPECT_EQ(final_content.value().rfind("writer-", 0), 0u);
-  std::remove(path.c_str());
 }
 
 TEST(AtomicWriteTest, MissingDirectoryFailsWithoutCreatingTarget) {

@@ -1,12 +1,11 @@
 #include "graph/delta.h"
 
-#include <cstdio>
-#include <filesystem>
 
 #include <gtest/gtest.h>
 
 #include "graph/builder.h"
 #include "graph/io.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace netout {
 namespace {
@@ -362,9 +361,8 @@ TEST_F(DeltaFixture, SaveHinOnOverlaySnapshotsRoundTrips) {
   const HinPtr overlay = graph.Snapshot().hin;
   ASSERT_TRUE(overlay->has_overlay());
 
-  const std::string base =
-      (std::filesystem::temp_directory_path() / "netout_delta_save")
-          .string();
+  const ScopedTempDir tmp("netout_delta");
+  const std::string base = tmp.File("save");
   const std::string bin_path = base + ".hin";
   const std::string text_path = base + ".txt";
   ASSERT_TRUE(SaveHinBinary(*overlay, bin_path).ok());
@@ -380,9 +378,6 @@ TEST_F(DeltaFixture, SaveHinOnOverlaySnapshotsRoundTrips) {
   // The text form renumbers; check the edge multiset size survived.
   const HinPtr from_text = LoadHinText(text_path).value();
   EXPECT_EQ(from_text->TotalEdges(), overlay->TotalEdges());
-
-  std::remove(bin_path.c_str());
-  std::remove(text_path.c_str());
 }
 
 }  // namespace

@@ -1,26 +1,15 @@
 #include "graph/import.h"
 
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "query/engine.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace netout {
 namespace {
-
-std::string WriteTemp(const char* name, std::string_view content) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       (std::string("netout_import_") + name))
-          .string();
-  std::ofstream out(path, std::ios::trunc);
-  out << content;
-  return path;
-}
 
 TEST(ParseCsvLineTest, PlainFields) {
   EXPECT_EQ(ParseCsvLine("a,b,c").value(),
@@ -49,7 +38,14 @@ class ImportFixture : public ::testing::Test {
                              "\n"  // blank line is skipped
                              "p4,Zoe;Liam,KDD,mining;outliers\n");
   }
-  void TearDown() override { std::remove(papers_path_.c_str()); }
+
+  /// Writes `content` to `name` in this test's own directory.
+  std::string WriteTemp(const char* name, std::string_view content) const {
+    const std::string path = tmp_.File(name);
+    std::ofstream out(path, std::ios::trunc);
+    out << content;
+    return path;
+  }
 
   CsvTableSpec PapersSpec() const {
     CsvTableSpec spec;
@@ -64,6 +60,7 @@ class ImportFixture : public ::testing::Test {
     return spec;
   }
 
+  const ScopedTempDir tmp_{"netout_import"};
   std::string papers_path_;
 };
 
@@ -119,7 +116,6 @@ TEST_F(ImportFixture, RaggedRowFails) {
   auto result = ImportCsvTables(std::vector<CsvTableSpec>{spec});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
-  std::remove(path.c_str());
 }
 
 TEST_F(ImportFixture, EmptyKeyFails) {
@@ -131,7 +127,6 @@ TEST_F(ImportFixture, EmptyKeyFails) {
   spec.vertex_type = "paper";
   spec.key_column = "id";
   EXPECT_FALSE(ImportCsvTables(std::vector<CsvTableSpec>{spec}).ok());
-  std::remove(path.c_str());
 }
 
 TEST_F(ImportFixture, ConflictingEdgeDeclarationsRejected) {
@@ -148,7 +143,6 @@ TEST_F(ImportFixture, ConflictingEdgeDeclarationsRejected) {
       std::vector<CsvTableSpec>{PapersSpec(), other});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
 TEST_F(ImportFixture, MultipleTablesShareVertexTypes) {
@@ -170,7 +164,6 @@ TEST_F(ImportFixture, MultipleTablesShareVertexTypes) {
   EXPECT_EQ(hin->NumVertices(hin->schema().FindVertexType("org").value()),
             2u);
   EXPECT_EQ(hin->TotalEdges(), 18u);
-  std::remove(affiliations.c_str());
 }
 
 TEST_F(ImportFixture, MissingFileIsIoError) {

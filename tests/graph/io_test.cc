@@ -1,7 +1,5 @@
 #include "graph/io.h"
 
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -9,15 +7,10 @@
 
 #include "common/binary_io.h"
 #include "graph/builder.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace netout {
 namespace {
-
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("netout_io_") + name))
-      .string();
-}
 
 HinPtr MakeSample() {
   GraphBuilder builder;
@@ -78,16 +71,17 @@ void ExpectSameNetwork(const Hin& a, const Hin& b) {
 
 TEST(GraphIoTest, TextRoundTrip) {
   const HinPtr original = MakeSample();
-  const std::string path = TempPath("text.hin");
+  const ScopedTempDir tmp("netout_io");
+  const std::string path = tmp.File("text.hin");
   ASSERT_TRUE(SaveHinText(*original, path).ok());
   const HinPtr loaded = LoadHinText(path).value();
   ExpectSameNetwork(*original, *loaded);
-  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, BinaryRoundTripPreservesIds) {
   const HinPtr original = MakeSample();
-  const std::string path = TempPath("bin.hin");
+  const ScopedTempDir tmp("netout_io");
+  const std::string path = tmp.File("bin.hin");
   ASSERT_TRUE(SaveHinBinary(*original, path).ok());
   const HinPtr loaded = LoadHinBinary(path).value();
   ExpectSameNetwork(*original, *loaded);
@@ -98,12 +92,12 @@ TEST(GraphIoTest, BinaryRoundTripPreservesIds) {
                 loaded->VertexName(VertexRef{t, v}));
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, BinaryRoundTripPreservesSketches) {
   const HinPtr original = MakeSample();
-  const std::string path = TempPath("sketch.hin");
+  const ScopedTempDir tmp("netout_io");
+  const std::string path = tmp.File("sketch.hin");
   ASSERT_TRUE(SaveHinBinary(*original, path).ok());
   const HinPtr loaded = LoadHinBinary(path).value();
   for (EdgeTypeId e = 0; e < original->schema().num_edge_types(); ++e) {
@@ -112,7 +106,6 @@ TEST(GraphIoTest, BinaryRoundTripPreservesSketches) {
       EXPECT_EQ(original->StepSketch(step), loaded->StepSketch(step));
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, V1SnapshotsLoadAndRecomputeSketches) {
@@ -120,7 +113,8 @@ TEST(GraphIoTest, V1SnapshotsLoadAndRecomputeSketches) {
   // section (4 u64 per edge type and direction), wrapped with the old
   // magic; the loader must accept it and rebuild sketches from the CSR.
   const HinPtr original = MakeSample();
-  const std::string path = TempPath("v1.hin");
+  const ScopedTempDir tmp("netout_io");
+  const std::string path = tmp.File("v1.hin");
   ASSERT_TRUE(SaveHinBinary(*original, path).ok());
   const std::string v2_bytes = ReadFileToString(path).value();
   std::string payload = UnwrapChecked("NOUTHIN2", v2_bytes).value();
@@ -139,12 +133,12 @@ TEST(GraphIoTest, V1SnapshotsLoadAndRecomputeSketches) {
       EXPECT_EQ(original->StepSketch(step), loaded->StepSketch(step));
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, BinaryLoadRejectsSketchCsrMismatch) {
   const HinPtr original = MakeSample();
-  const std::string path = TempPath("badsketch.hin");
+  const ScopedTempDir tmp("netout_io");
+  const std::string path = tmp.File("badsketch.hin");
   ASSERT_TRUE(SaveHinBinary(*original, path).ok());
   const std::string v2_bytes = ReadFileToString(path).value();
   std::string payload = UnwrapChecked("NOUTHIN2", v2_bytes).value();
@@ -161,11 +155,11 @@ TEST(GraphIoTest, BinaryLoadRejectsSketchCsrMismatch) {
   auto r = LoadHinBinary(path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, TextParserRejectsMalformedLines) {
-  const std::string path = TempPath("bad.hin");
+  const ScopedTempDir tmp("netout_io");
+  const std::string path = tmp.File("bad.hin");
   {
     std::ofstream out(path);
     out << "T\tauthor\nX\tjunk\n";
@@ -173,33 +167,33 @@ TEST(GraphIoTest, TextParserRejectsMalformedLines) {
   auto r = LoadHinText(path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
-  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, TextParserRejectsUndeclaredTypes) {
-  const std::string path = TempPath("undeclared.hin");
+  const ScopedTempDir tmp("netout_io");
+  const std::string path = tmp.File("undeclared.hin");
   {
     std::ofstream out(path);
     out << "V\tghost\tAva\n";
   }
   EXPECT_FALSE(LoadHinText(path).ok());
-  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, TextParserSkipsCommentsAndBlanks) {
-  const std::string path = TempPath("comments.hin");
+  const ScopedTempDir tmp("netout_io");
+  const std::string path = tmp.File("comments.hin");
   {
     std::ofstream out(path);
     out << "# a comment\n\nT\tauthor\n  \nV\tauthor\tAva\n";
   }
   const HinPtr hin = LoadHinText(path).value();
   EXPECT_EQ(hin->TotalVertices(), 1u);
-  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, BinaryLoadRejectsCorruption) {
   const HinPtr original = MakeSample();
-  const std::string path = TempPath("corrupt.hin");
+  const ScopedTempDir tmp("netout_io");
+  const std::string path = tmp.File("corrupt.hin");
   ASSERT_TRUE(SaveHinBinary(*original, path).ok());
   std::string bytes = ReadFileToString(path).value();
   bytes[bytes.size() / 2] ^= 0x40;
@@ -207,16 +201,15 @@ TEST(GraphIoTest, BinaryLoadRejectsCorruption) {
   auto r = LoadHinBinary(path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, BinaryLoadRejectsWrongMagic) {
-  const std::string path = TempPath("notasnapshot.hin");
+  const ScopedTempDir tmp("netout_io");
+  const std::string path = tmp.File("notasnapshot.hin");
   ASSERT_TRUE(WriteStringToFile(path, "this is not a snapshot at all!").ok());
   auto r = LoadHinBinary(path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, MissingFilesAreIoErrors) {
@@ -229,11 +222,11 @@ TEST(GraphIoTest, MissingFilesAreIoErrors) {
 TEST(GraphIoTest, EmptyNetworkRoundTrips) {
   GraphBuilder builder;
   const HinPtr empty = builder.Finish().value();
-  const std::string path = TempPath("empty.hin");
+  const ScopedTempDir tmp("netout_io");
+  const std::string path = tmp.File("empty.hin");
   ASSERT_TRUE(SaveHinBinary(*empty, path).ok());
   const HinPtr loaded = LoadHinBinary(path).value();
   EXPECT_EQ(loaded->TotalVertices(), 0u);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -19,18 +19,12 @@
 #include "graph/builder.h"
 #include "graph/delta.h"
 #include "graph/io.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace netout {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TempDir(const char* name) {
-  const fs::path dir =
-      fs::temp_directory_path() / (std::string("netout_seg_") + name);
-  fs::remove_all(dir);
-  return dir.string();
-}
 
 /// A small graph with skewed degrees, parallel edges, an isolated
 /// vertex, and two edge types so forward/reverse relations differ.
@@ -104,9 +98,9 @@ void ExpectBitwiseEqual(const Hin& want, const Hin& got) {
 
 TEST(SegmentTest, RoundTripIsBitwiseIdentical) {
   const HinPtr original = MakeSample();
+  const ScopedTempDir tmp("netout_seg");
   for (const bool renumber : {false, true}) {
-    const std::string dir =
-        TempDir(renumber ? "rt_renumber" : "rt_plain");
+    const std::string dir = tmp.File(renumber ? "rt_renumber" : "rt_plain");
     ShardWriterOptions options;
     options.target_segment_bytes = 256;  // force many segments
     options.renumber = renumber;
@@ -115,7 +109,6 @@ TEST(SegmentTest, RoundTripIsBitwiseIdentical) {
     EXPECT_TRUE(loaded->is_sharded());
     EXPECT_FALSE(original->is_sharded());
     ExpectBitwiseEqual(*original, *loaded);
-    fs::remove_all(dir);
   }
 }
 
@@ -123,8 +116,9 @@ TEST(SegmentTest, RenumberingIsPurelyPhysical) {
   // The same directory read twice must agree with a no-renumber build:
   // logical ids, names and row contents are storage-order independent.
   const HinPtr original = MakeSample();
-  const std::string plain = TempDir("phys_plain");
-  const std::string packed = TempDir("phys_packed");
+  const ScopedTempDir tmp("netout_seg");
+  const std::string plain = tmp.File("phys_plain");
+  const std::string packed = tmp.File("phys_packed");
   ShardWriterOptions options;
   options.target_segment_bytes = 256;
   options.renumber = false;
@@ -134,8 +128,6 @@ TEST(SegmentTest, RenumberingIsPurelyPhysical) {
   const HinPtr a = LoadShardedHin(plain).value();
   const HinPtr b = LoadShardedHin(packed).value();
   ExpectBitwiseEqual(*a, *b);
-  fs::remove_all(plain);
-  fs::remove_all(packed);
 }
 
 TEST(SegmentTest, BuildFoldsOverlaySnapshots) {
@@ -151,18 +143,19 @@ TEST(SegmentTest, BuildFoldsOverlaySnapshots) {
   ASSERT_TRUE(graph.Commit().ok());
   const HinPtr snapshot = graph.Snapshot().hin;
 
-  const std::string dir = TempDir("overlay");
+  const ScopedTempDir tmp("netout_seg");
+  const std::string dir = tmp.File("overlay");
   ASSERT_TRUE(BuildShardedHin(*snapshot, dir, {}).ok());
   const HinPtr loaded = LoadShardedHin(dir).value();
   ExpectBitwiseEqual(*snapshot, *loaded);
-  fs::remove_all(dir);
 }
 
 TEST(SegmentTest, ShardedSnapshotSavesBackToBinary) {
   // SaveHinBinary over a sharded graph must fold rows through StepRow
   // (there are no whole-CSR arrays to block-copy) and round-trip.
   const HinPtr original = MakeSample();
-  const std::string dir = TempDir("saveback");
+  const ScopedTempDir tmp("netout_seg");
+  const std::string dir = tmp.File("saveback");
   ASSERT_TRUE(BuildShardedHin(*original, dir, {}).ok());
   const HinPtr sharded = LoadShardedHin(dir).value();
   const std::string snap = dir + "/flat.hin";
@@ -170,13 +163,13 @@ TEST(SegmentTest, ShardedSnapshotSavesBackToBinary) {
   const HinPtr reloaded = LoadHinBinary(snap).value();
   EXPECT_FALSE(reloaded->is_sharded());
   ExpectBitwiseEqual(*original, *reloaded);
-  fs::remove_all(dir);
 }
 
 TEST(SegmentTest, ReShardingAShardedGraphWorks) {
   const HinPtr original = MakeSample();
-  const std::string first = TempDir("reshard_a");
-  const std::string second = TempDir("reshard_b");
+  const ScopedTempDir tmp("netout_seg");
+  const std::string first = tmp.File("reshard_a");
+  const std::string second = tmp.File("reshard_b");
   ShardWriterOptions options;
   options.target_segment_bytes = 256;
   ASSERT_TRUE(BuildShardedHin(*original, first, options).ok());
@@ -186,15 +179,14 @@ TEST(SegmentTest, ReShardingAShardedGraphWorks) {
   ASSERT_TRUE(BuildShardedHin(*sharded, second, options).ok());
   const HinPtr resharded = LoadShardedHin(second).value();
   ExpectBitwiseEqual(*original, *resharded);
-  fs::remove_all(first);
-  fs::remove_all(second);
 }
 
 TEST(SegmentTest, MutableHinCommitsOnAShardedRoot) {
   // The mutation layer folds base rows through StepRow, so a sharded
   // root must accept commits exactly like an in-memory one.
   const HinPtr original = MakeSample();
-  const std::string dir = TempDir("mutroot");
+  const ScopedTempDir tmp("netout_seg");
+  const std::string dir = tmp.File("mutroot");
   ASSERT_TRUE(BuildShardedHin(*original, dir, {}).ok());
   const HinPtr sharded = LoadShardedHin(dir).value();
 
@@ -210,7 +202,6 @@ TEST(SegmentTest, MutableHinCommitsOnAShardedRoot) {
   }
   ExpectBitwiseEqual(*in_memory.Snapshot().hin,
                      *out_of_core.Snapshot().hin);
-  fs::remove_all(dir);
 }
 
 // -------------------------------------------------------------------
@@ -224,7 +215,8 @@ TEST(SegmentTest, BudgetDrivesEvictionAndCounters) {
   config.authors_per_area = 30;
   config.papers_per_area = 60;
   const BiblioDataset dataset = GenerateBiblio(config).value();
-  const std::string dir = TempDir("budget");
+  const ScopedTempDir tmp("netout_seg");
+  const std::string dir = tmp.File("budget");
   ShardWriterOptions writer;
   writer.target_segment_bytes = 2048;
   ASSERT_TRUE(BuildShardedHin(*dataset.hin, dir, writer).ok());
@@ -257,7 +249,6 @@ TEST(SegmentTest, BudgetDrivesEvictionAndCounters) {
   const ShardedStorageStats base_stats = baseline->shard_store()->Stats();
   EXPECT_EQ(base_stats.evictions, 0u);
   EXPECT_LE(base_stats.faults, base_stats.segments);
-  fs::remove_all(dir);
 }
 
 // -------------------------------------------------------------------
@@ -268,15 +259,13 @@ TEST(SegmentTest, BudgetDrivesEvictionAndCounters) {
 class HostileShardTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = TempDir("hostile");
+    dir_ = tmp_.File("hostile");
     hin_ = MakeSample();
     ShardWriterOptions options;
     options.target_segment_bytes = 256;
     ASSERT_TRUE(BuildShardedHin(*hin_, dir_, options).ok());
     ASSERT_TRUE(LoadShardedHin(dir_).ok()) << "pristine dir must load";
   }
-
-  void TearDown() override { fs::remove_all(dir_); }
 
   std::string SegPath(const char* name) const {
     return dir_ + "/" + name;
@@ -313,6 +302,7 @@ class HostileShardTest : public ::testing::Test {
         .value();
   }
 
+  const ScopedTempDir tmp_{"netout_seg"};
   std::string dir_;
   HinPtr hin_;
 };

@@ -1,22 +1,15 @@
 #include "index/serialize.h"
 
-#include <cstdio>
-#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/binary_io.h"
 #include "graph/builder.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace netout {
 namespace {
-
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("netout_idx_") + name))
-      .string();
-}
 
 HinPtr MakeSample() {
   GraphBuilder builder;
@@ -48,7 +41,8 @@ HinPtr MakeDifferent() {
 TEST(PmSerializeTest, RoundTrip) {
   const HinPtr hin = MakeSample();
   const auto index = PmIndex::Build(*hin).value();
-  const std::string path = TempPath("pm.idx");
+  const ScopedTempDir tmp("netout_idx");
+  const std::string path = tmp.File("pm.idx");
   ASSERT_TRUE(SavePmIndex(*index, path).ok());
   const auto loaded = LoadPmIndex(*hin, path).value();
   EXPECT_EQ(loaded->num_relations(), index->num_relations());
@@ -65,32 +59,31 @@ TEST(PmSerializeTest, RoundTrip) {
       }
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(PmSerializeTest, RejectsMismatchedGraph) {
   const HinPtr hin = MakeSample();
   const auto index = PmIndex::Build(*hin).value();
-  const std::string path = TempPath("pm_mismatch.idx");
+  const ScopedTempDir tmp("netout_idx");
+  const std::string path = tmp.File("pm_mismatch.idx");
   ASSERT_TRUE(SavePmIndex(*index, path).ok());
   const HinPtr other = MakeDifferent();
   auto r = LoadPmIndex(*other, path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 TEST(PmSerializeTest, RejectsBitFlip) {
   const HinPtr hin = MakeSample();
   const auto index = PmIndex::Build(*hin).value();
-  const std::string path = TempPath("pm_corrupt.idx");
+  const ScopedTempDir tmp("netout_idx");
+  const std::string path = tmp.File("pm_corrupt.idx");
   ASSERT_TRUE(SavePmIndex(*index, path).ok());
   std::string bytes = ReadFileToString(path).value();
   bytes[bytes.size() / 2] ^= 0x10;
   ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
   EXPECT_EQ(LoadPmIndex(*hin, path).status().code(),
             StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 // Regression: a PM file whose row columns are not strictly increasing
@@ -118,13 +111,13 @@ TEST(PmSerializeTest, RejectsUnsortedRowColumns) {
   AppendU32(&payload, 0);
   AppendDouble(&payload, 1.0);
   AppendDouble(&payload, 1.0);
-  const std::string path = TempPath("pm_unsorted.idx");
+  const ScopedTempDir tmp("netout_idx");
+  const std::string path = tmp.File("pm_unsorted.idx");
   ASSERT_TRUE(
       WriteStringToFile(path, WrapWithChecksum("NOUTPMI1", payload)).ok());
   auto r = LoadPmIndex(*hin, path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 // The SPM loader must likewise reject a vector with unsorted indices.
@@ -144,13 +137,13 @@ TEST(SpmSerializeTest, RejectsUnsortedVectorIndices) {
   AppendDouble(&payload, 1.0);
   AppendDouble(&payload, 1.0);
   AppendU64(&payload, 1);  // num indexed vertices
-  const std::string path = TempPath("spm_unsorted.idx");
+  const ScopedTempDir tmp("netout_idx");
+  const std::string path = tmp.File("spm_unsorted.idx");
   ASSERT_TRUE(
       WriteStringToFile(path, WrapWithChecksum("NOUTSPM1", payload)).ok());
   auto r = LoadSpmIndex(*hin, path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 TEST(SpmSerializeTest, RoundTrip) {
@@ -158,7 +151,8 @@ TEST(SpmSerializeTest, RoundTrip) {
   const VertexRef ava = hin->FindVertex("author", "Ava").value();
   const VertexRef zoe = hin->FindVertex("author", "Zoe").value();
   const auto index = SpmIndex::BuildForVertices(*hin, {ava, zoe}).value();
-  const std::string path = TempPath("spm.idx");
+  const ScopedTempDir tmp("netout_idx");
+  const std::string path = tmp.File("spm.idx");
   ASSERT_TRUE(SaveSpmIndex(*index, path).ok());
   const auto loaded = LoadSpmIndex(*hin, path).value();
   EXPECT_EQ(loaded->num_indexed_vertices(), 2u);
@@ -173,29 +167,28 @@ TEST(SpmSerializeTest, RoundTrip) {
       }
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(SpmSerializeTest, RejectsWrongMagic) {
   const HinPtr hin = MakeSample();
   const VertexRef ava = hin->FindVertex("author", "Ava").value();
   const auto pm_style = SpmIndex::BuildForVertices(*hin, {ava}).value();
-  const std::string path = TempPath("spm_magic.idx");
+  const ScopedTempDir tmp("netout_idx");
+  const std::string path = tmp.File("spm_magic.idx");
   ASSERT_TRUE(SaveSpmIndex(*pm_style, path).ok());
   // Loading an SPM file as a PM index must fail on magic.
   EXPECT_EQ(LoadPmIndex(*hin, path).status().code(),
             StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 TEST(SpmSerializeTest, EmptyIndexRoundTrips) {
   const HinPtr hin = MakeSample();
   const auto index = SpmIndex::BuildForVertices(*hin, {}).value();
-  const std::string path = TempPath("spm_empty.idx");
+  const ScopedTempDir tmp("netout_idx");
+  const std::string path = tmp.File("spm_empty.idx");
   ASSERT_TRUE(SaveSpmIndex(*index, path).ok());
   const auto loaded = LoadSpmIndex(*hin, path).value();
   EXPECT_EQ(loaded->num_indexed_vertices(), 0u);
-  std::remove(path.c_str());
 }
 
 }  // namespace

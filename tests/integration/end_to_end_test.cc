@@ -3,8 +3,6 @@
 // planted ground truth, plus snapshot round-trips of the whole pipeline.
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <set>
 #include <string>
 
@@ -13,6 +11,7 @@
 #include "datagen/biblio_gen.h"
 #include "graph/io.h"
 #include "query/engine.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace netout {
 namespace {
@@ -172,11 +171,10 @@ TEST_F(EndToEndFixture, WhereClauseExcludesLowVisibilityAuthors) {
 
 // Snapshot round trip: binary save/load preserves query results exactly.
 TEST_F(EndToEndFixture, SnapshotRoundTripPreservesResults) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "netout_e2e.hin").string();
+  const ScopedTempDir tmp("netout_e2e");
+  const std::string path = tmp.File("snapshot.hin");
   ASSERT_TRUE(SaveHinBinary(*dataset_->hin, path).ok());
   const HinPtr reloaded = LoadHinBinary(path).value();
-  std::remove(path.c_str());
 
   const std::string query =
       "FIND OUTLIERS FROM author{\"" + dataset_->star_names[2] +

@@ -8,7 +8,6 @@
 // allowed to know about it.
 
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "query/batch.h"
 #include "query/engine.h"
 #include "query/result_json.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace netout {
 namespace {
@@ -59,6 +59,9 @@ struct StorageSide {
 };
 
 struct OocoreWorld {
+  // First member, so it outlives (is destroyed after) the sides that
+  // map its segment files.
+  ScopedTempDir tmp{"netout_oocore"};
   BiblioDataset dataset;
   StorageSide memory;
   StorageSide sharded_plain;     // renumber off
@@ -82,15 +85,8 @@ class OocoreEquivalenceTest : public ::testing::Test {
     world_->dataset = GenerateBiblio(config).value();
     world_->memory.hin = world_->dataset.hin;
 
-    const auto temp = [](const char* name) {
-      const std::filesystem::path dir =
-          std::filesystem::temp_directory_path() /
-          (std::string("netout_oocore_") + name);
-      std::filesystem::remove_all(dir);
-      return dir.string();
-    };
-    world_->dir_plain = temp("plain");
-    world_->dir_packed = temp("packed");
+    world_->dir_plain = world_->tmp.File("plain");
+    world_->dir_packed = world_->tmp.File("packed");
 
     // Small segments + a budget of a quarter of the mapped bytes, so
     // the whole grid below runs under constant eviction churn.
@@ -129,8 +125,6 @@ class OocoreEquivalenceTest : public ::testing::Test {
   }
 
   static void TearDownTestSuite() {
-    std::filesystem::remove_all(world_->dir_plain);
-    std::filesystem::remove_all(world_->dir_packed);
     delete world_;
     world_ = nullptr;
   }

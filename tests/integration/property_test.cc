@@ -43,17 +43,19 @@ RandomHin MakeRandomHin(std::uint64_t seed) {
   const std::size_t num_papers = 30 + rng.NextBounded(40);
   const std::size_t num_venues = 3 + rng.NextBounded(5);
   std::vector<VertexRef> authors, papers, venues;
+  // Appended, not `"a" + std::to_string(i)`: GCC 12 at -O3 raises a
+  // false -Wrestrict on that operator+ overload.
+  const auto named = [](const char* prefix, std::size_t i) {
+    return std::string(prefix).append(std::to_string(i));
+  };
   for (std::size_t i = 0; i < num_authors; ++i) {
-    authors.push_back(
-        builder.AddVertex(out.author, "a" + std::to_string(i)).value());
+    authors.push_back(builder.AddVertex(out.author, named("a", i)).value());
   }
   for (std::size_t i = 0; i < num_papers; ++i) {
-    papers.push_back(
-        builder.AddVertex(out.paper, "p" + std::to_string(i)).value());
+    papers.push_back(builder.AddVertex(out.paper, named("p", i)).value());
   }
   for (std::size_t i = 0; i < num_venues; ++i) {
-    venues.push_back(
-        builder.AddVertex(out.venue, "v" + std::to_string(i)).value());
+    venues.push_back(builder.AddVertex(out.venue, named("v", i)).value());
   }
   for (const VertexRef& paper : papers) {
     const std::size_t author_count = 1 + rng.NextBounded(4);

@@ -2,7 +2,6 @@
 // crash on hostile input — every outcome is a clean Status (or a valid
 // parse). Seeded pseudo-fuzzing keeps runs deterministic.
 
-#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -14,6 +13,7 @@
 #include "query/engine.h"
 #include "query/parser.h"
 #include "query/token.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace netout {
 namespace {
@@ -112,7 +112,8 @@ TEST(SnapshotRobustness, TruncationsNeverCrashTheLoader) {
   config.coauthor_outliers_per_area = 0;
   config.low_visibility_per_area = 0;
   const BiblioDataset dataset = GenerateBiblio(config).value();
-  const std::string path = "/tmp/netout_robustness.hin";
+  const ScopedTempDir tmp("netout_robustness");
+  const std::string path = tmp.File("snapshot.hin");
   ASSERT_TRUE(SaveHinBinary(*dataset.hin, path).ok());
   const std::string bytes = ReadFileToString(path).value();
 
@@ -126,7 +127,6 @@ TEST(SnapshotRobustness, TruncationsNeverCrashTheLoader) {
     EXPECT_FALSE(result.ok()) << "cut at " << cut;
     EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
   }
-  std::remove(path.c_str());
 }
 
 TEST(SnapshotRobustness, RandomBitFlipsAreRejectedOrEquivalent) {
@@ -141,7 +141,8 @@ TEST(SnapshotRobustness, RandomBitFlipsAreRejectedOrEquivalent) {
   config.coauthor_outliers_per_area = 0;
   config.low_visibility_per_area = 0;
   const BiblioDataset dataset = GenerateBiblio(config).value();
-  const std::string path = "/tmp/netout_robustness2.hin";
+  const ScopedTempDir tmp("netout_robustness");
+  const std::string path = tmp.File("snapshot.hin");
   ASSERT_TRUE(SaveHinBinary(*dataset.hin, path).ok());
   const std::string original = ReadFileToString(path).value();
 
@@ -158,7 +159,6 @@ TEST(SnapshotRobustness, RandomBitFlipsAreRejectedOrEquivalent) {
       EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
     }
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

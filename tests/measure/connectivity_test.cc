@@ -32,18 +32,23 @@ class Figure2Fixture : public ::testing::Test {
     const int jim_counts[] = {4, 2, 6};
     const int mary_counts[] = {2, 1, 3};
     int serial = 0;
+    // Appended, not `"v" + std::to_string(v)`: GCC 12 at -O3 raises a
+    // false -Wrestrict on that operator+ overload.
+    const auto named = [](const char* prefix, int i) {
+      return std::string(prefix).append(std::to_string(i));
+    };
     for (int v = 0; v < 3; ++v) {
       const VertexRef venue_ref =
-          builder.AddVertex(venue, "v" + std::to_string(v)).value();
+          builder.AddVertex(venue, named("v", v)).value();
       for (int p = 0; p < jim_counts[v]; ++p) {
         const VertexRef paper_ref =
-            builder.AddVertex(paper, "p" + std::to_string(serial++)).value();
+            builder.AddVertex(paper, named("p", serial++)).value();
         ASSERT_TRUE(builder.AddEdge(writes, jim, paper_ref).ok());
         ASSERT_TRUE(builder.AddEdge(published, paper_ref, venue_ref).ok());
       }
       for (int p = 0; p < mary_counts[v]; ++p) {
         const VertexRef paper_ref =
-            builder.AddVertex(paper, "p" + std::to_string(serial++)).value();
+            builder.AddVertex(paper, named("p", serial++)).value();
         ASSERT_TRUE(builder.AddEdge(writes, mary, paper_ref).ok());
         ASSERT_TRUE(builder.AddEdge(published, paper_ref, venue_ref).ok());
       }

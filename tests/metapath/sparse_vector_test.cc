@@ -1,8 +1,16 @@
 #include "metapath/sparse_vector.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace netout {
 namespace {
@@ -141,6 +149,73 @@ TEST(DenseAccumulatorTest, ResizeGrowsOnly) {
   EXPECT_EQ(acc.dimension(), 4u);
   acc.Resize(8);
   EXPECT_EQ(acc.dimension(), 8u);
+}
+
+TEST(DenseAccumulatorTest, BothHarvestRegimesYieldIdenticalVectors) {
+  // The dense regime starts at max(8, dimension/16) touched slots. The
+  // same adds are harvested as they come (sparse regime below the
+  // crossover, dense at or above it) and again after +1/-1 pairs on
+  // other slots pushed the accumulator into the dense regime first;
+  // the pairs land on exactly 0.0 and are dropped. Both must equal the
+  // add-order sums bit for bit, at dimensions and occupancies on both
+  // sides of the crossover (venue and term sizes among them).
+  Rng rng(11);
+  for (const std::size_t dimension : {64u, 640u, 2500u, 37000u}) {
+    const std::size_t crossover = std::max<std::size_t>(8, dimension / 16);
+    for (const std::size_t nnz :
+         {crossover / 2, crossover - 1, crossover, 2 * crossover}) {
+      // Distinct slots from the lower half, one to three adds each, in
+      // shuffled order; the upper half is left for the padding pairs.
+      std::vector<LocalId> slots(dimension / 2);
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        slots[i] = static_cast<LocalId>(i);
+      }
+      std::vector<std::pair<LocalId, double>> adds;
+      for (std::size_t k = 0; k < nnz; ++k) {
+        std::swap(slots[k], slots[k + rng.NextBounded(slots.size() - k)]);
+        const std::size_t times = 1 + rng.NextBounded(3);
+        for (std::size_t t = 0; t < times; ++t) {
+          adds.emplace_back(slots[k], rng.NextDouble() * 7.0 - 2.0);
+        }
+      }
+      for (std::size_t i = adds.size(); i > 1; --i) {
+        std::swap(adds[i - 1], adds[rng.NextBounded(i)]);
+      }
+      std::map<LocalId, double> sums;
+      for (const auto& [index, value] : adds) sums[index] += value;
+
+      DenseAccumulator as_is;
+      as_is.Resize(dimension);
+      DenseAccumulator padded;
+      padded.Resize(dimension);
+      for (std::size_t j = 0; j < crossover; ++j) {
+        const LocalId slot = static_cast<LocalId>(dimension / 2 + j);
+        padded.Add(slot, 1.0);
+        padded.Add(slot, -1.0);
+      }
+      for (const auto& [index, value] : adds) {
+        as_is.Add(index, value);
+        padded.Add(index, value);
+      }
+      for (const SparseVector& got : {as_is.Harvest(), padded.Harvest()}) {
+        ASSERT_EQ(got.nnz(), sums.size())
+            << "dimension " << dimension << " nnz " << nnz;
+        std::size_t i = 0;
+        for (const auto& [index, value] : sums) {
+          EXPECT_EQ(got.indices()[i], index);
+          std::uint64_t want = 0;
+          std::uint64_t have = 0;
+          std::memcpy(&want, &value, sizeof(want));
+          std::memcpy(&have, &got.values()[i], sizeof(have));
+          EXPECT_EQ(want, have) << "dimension " << dimension << " nnz "
+                                << nnz << " index " << index;
+          ++i;
+        }
+      }
+      EXPECT_TRUE(as_is.IsEmpty());
+      EXPECT_TRUE(padded.IsEmpty());
+    }
+  }
 }
 
 }  // namespace

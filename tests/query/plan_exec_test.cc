@@ -35,7 +35,10 @@ class PlanExecFixture : public ::testing::Test {
     int serial = 0;
     auto paper_with = [&](const std::vector<std::string>& authors,
                           const std::string& venue) {
-      const std::string name = "p" + std::to_string(serial++);
+      // Appended: GCC 12 at -O3 raises a false -Wrestrict on
+      // `"p" + std::to_string(...)`.
+      const std::string name =
+          std::string("p").append(std::to_string(serial++));
       for (const std::string& a : authors) {
         ASSERT_TRUE(builder.AddEdgeByName("writes", a, name).ok());
       }
@@ -44,10 +47,10 @@ class PlanExecFixture : public ::testing::Test {
     // 40 authors co-authoring with Hub in venue v<i%4>, with per-author
     // solo records of varying size so WHERE thresholds bite unevenly.
     for (int i = 0; i < 40; ++i) {
-      const std::string who = "a" + std::to_string(i);
-      paper_with({"Hub", who}, "v" + std::to_string(i % 4));
+      const std::string who = std::string("a").append(std::to_string(i));
+      paper_with({"Hub", who}, std::string("v").append(std::to_string(i % 4)));
       for (int p = 0; p < i % 7; ++p) {
-        paper_with({who}, "v" + std::to_string((i + p) % 4));
+        paper_with({who}, std::string("v").append(std::to_string((i + p) % 4)));
       }
     }
     paper_with({"Hub", "Rex"}, "v0");

@@ -33,7 +33,10 @@ class PlannerFixture : public ::testing::Test {
     int serial = 0;
     auto paper_with = [&](std::initializer_list<const char*> authors,
                           const char* venue) {
-      const std::string name = "p" + std::to_string(serial++);
+      // Appended: GCC 12 at -O3 raises a false -Wrestrict on
+      // `"p" + std::to_string(...)`.
+      const std::string name =
+          std::string("p").append(std::to_string(serial++));
       for (const char* a : authors) {
         ASSERT_TRUE(builder.AddEdgeByName("writes", a, name).ok());
       }

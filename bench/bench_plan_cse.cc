@@ -1,6 +1,6 @@
 // Ablation (extension beyond the paper): common-subexpression
-// elimination in the logical->physical planner, measured on a merged
-// batch (BatchOptions::merge_plans) of a duplicate-heavy workload —
+// elimination in the logical->physical planner, measured on a
+// BatchRunner batch (one shared plan) of a duplicate-heavy workload —
 // Zipf-distributed Q1 anchors (an analyst drilling into a few
 // neighborhoods) where each anchor is also queried at two different k
 // ("re-run with a larger k"), so whole candidate/feature pipelines
@@ -61,9 +61,7 @@ int main() {
   for (const bool cse : {true, false}) {
     EngineOptions options;
     options.exec.plan_cse = cse;
-    BatchOptions merge;
-    merge.merge_plans = true;
-    BatchRunner runner(setup.dataset.hin, options, 4, merge);
+    BatchRunner runner(setup.dataset.hin, options, 4);
     Stopwatch watch;
     const std::vector<BatchOutcome> outcomes = runner.Run(queries);
     const double ms = watch.ElapsedMillis();

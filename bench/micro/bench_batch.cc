@@ -1,8 +1,9 @@
 // Batch-driver scaling: the same query set executed through BatchRunner
-// with 1..8 workers. Queries are independent and the Hin/index are
-// immutable, so throughput should scale with cores until memory
-// bandwidth saturates (extension beyond the paper's single-threaded
-// measurements).
+// with 1..8 workers (1 runs the shared plan inline on the calling
+// thread; more schedule its ops over a pool). The Q1 queries share
+// little beyond their sets and the Hin/index are immutable, so
+// throughput should scale with cores until memory bandwidth saturates
+// (extension beyond the paper's single-threaded measurements).
 
 #include <benchmark/benchmark.h>
 

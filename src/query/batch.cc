@@ -1,12 +1,9 @@
 #include "query/batch.h"
 
-#include <atomic>
-#include <functional>
 #include <memory>
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "common/sync.h"
 #include "common/thread_pool.h"
 #include "query/parser.h"
 #include "query/planner.h"
@@ -15,45 +12,68 @@ namespace netout {
 
 struct BatchRunner::Impl {
   Impl(HinPtr hin_in, const EngineOptions& options_in,
-       std::size_t num_threads, const BatchOptions& batch_options_in)
-      : hin(std::move(hin_in)),
-        options(options_in),
-        batch_options(batch_options_in),
-        pool(num_threads) {}
-
-  std::vector<BatchOutcome> RunMerged(
-      const std::vector<BatchQuery>& queries);
+       std::size_t num_threads)
+      : hin(std::move(hin_in)), options(options_in) {
+    // One worker runs the plan inline on the calling thread: a pool of
+    // one would still run ops on two threads, because TaskGroup::Wait
+    // helps drain the group's own tasks.
+    if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
+  }
 
   HinPtr hin;
   EngineOptions options;
-  BatchOptions batch_options;
-  ThreadPool pool;
+  std::unique_ptr<ThreadPool> pool;  // null for one worker
 };
 
 BatchRunner::BatchRunner(HinPtr hin, const EngineOptions& engine_options,
-                         std::size_t num_threads,
-                         const BatchOptions& batch_options)
+                         std::size_t num_threads)
     : impl_(std::make_unique<Impl>(std::move(hin), engine_options,
-                                   num_threads, batch_options)) {}
+                                   num_threads)) {}
 
 BatchRunner::~BatchRunner() = default;
 
 std::size_t BatchRunner::num_threads() const {
-  return impl_->pool.num_threads();
+  return impl_->pool == nullptr ? 1 : impl_->pool->num_threads();
 }
 
 void BatchRunner::SetSnapshot(HinPtr hin) { impl_->hin = std::move(hin); }
 
-std::vector<BatchOutcome> BatchRunner::Impl::RunMerged(
+std::vector<BatchOutcome> BatchRunner::Run(
+    const std::vector<std::string>& queries) {
+  std::vector<BatchQuery> batch;
+  batch.reserve(queries.size());
+  for (const std::string& text : queries) {
+    batch.push_back(BatchQuery{text, nullptr});
+  }
+  return Run(batch);
+}
+
+std::vector<BatchOutcome> BatchRunner::Run(
     const std::vector<BatchQuery>& queries) {
   std::vector<BatchOutcome> outcomes(queries.size());
+  if (queries.empty()) return outcomes;
+  const HinPtr& hin = impl_->hin;
+  const EngineOptions& options = impl_->options;
+
+  // The attached index is shared by every worker; with more than one
+  // worker an index that cannot serve concurrent lookups would be a
+  // silent data race, so reject the whole batch up front. All in-tree
+  // indexes (PM/SPM/CachedIndex) are concurrent-safe.
+  if (options.index != nullptr && impl_->pool != nullptr &&
+      !options.index->SupportsConcurrentUse()) {
+    const Status rejected = Status::FailedPrecondition(
+        "the attached index reports SupportsConcurrentUse() == false and "
+        "cannot be shared across BatchRunner workers; use one thread or "
+        "a concurrent-safe index");
+    for (BatchOutcome& outcome : outcomes) outcome.status = rejected;
+    return outcomes;
+  }
 
   // Parse and analyze every query up front; failures are isolated here
-  // and never enter the merged plan. Prepared plans live in a
-  // pre-reserved vector because the planner borrows them by pointer.
+  // and never enter the plan. Prepared plans live in a pre-reserved
+  // vector because the planner borrows them by pointer.
   struct Prepared {
     std::size_t input_index = 0;
-    std::size_t query_index = 0;  // PlanQuery index after AddQuery
     QueryPlan plan;
     std::int64_t parse_nanos = 0;
     std::int64_t analyze_nanos = 0;
@@ -103,265 +123,44 @@ std::vector<BatchOutcome> BatchRunner::Impl::RunMerged(
 
   // One planner over the whole workload: this is where cross-query
   // sharing happens (identical sets, conditions, features and common
-  // prefixes collapse to single ops).
-  Planner planner(*hin,
-                  PlannerOptions{options.exec.plan_cse,
-                                 options.exec.cost_based_order,
-                                 options.index});
-  for (Prepared& p : prepared) {
-    p.query_index = planner.AddQuery(p.plan);
-  }
+  // prefixes collapse to single ops). Query k of the plan is prepared[k].
+  Planner planner(*hin, PlannerOptions{options.exec.plan_cse,
+                                       options.exec.cost_based_order,
+                                       options.index});
+  for (const Prepared& p : prepared) planner.AddQuery(p.plan);
   const PhysicalPlan plan = planner.Take();
-  const std::size_t num_ops = plan.ops.size();
 
-  // Which queries' tokens watch each operator. An op exclusive to one
-  // query (single non-null consumer) runs *under* that token — it is
-  // installed on the executing worker's executor so deadlines trip
-  // mid-operator; a shared op runs token-free so one query's stop can
-  // never corrupt output other queries still need. Separately, any op is
-  // skipped outright once every consuming query has stopped (a null
-  // entry — a query without limits — never stops, keeping its ops live).
-  std::vector<std::vector<const CancellationToken*>> op_tokens(num_ops);
-  for (std::size_t pi = 0; pi < prepared.size(); ++pi) {
-    const PlanQuery& entry = plan.queries[prepared[pi].query_index];
-    const auto watch = [&](std::size_t id) {
-      // One query may list an op in both set_phase_ops and ops; dedup by
-      // the tail (queries are visited one at a time, so a duplicate from
-      // this query is always the last element).
-      if (op_tokens[id].empty() || op_tokens[id].back() != token_ptrs[pi]) {
-        op_tokens[id].push_back(token_ptrs[pi]);
-      }
-    };
-    for (const std::size_t id : entry.set_phase_ops) watch(id);
-    for (const std::size_t id : entry.ops) watch(id);
-  }
-
-  // One single-threaded executor per worker (plus one for the waiting
-  // thread, which helps drain its own group), checked out per operator.
+  // One single-threaded executor per worker, plus one for the waiting
+  // thread, which helps drain its own group.
   ExecOptions exec_options = options.exec;
   exec_options.num_threads = 1;
+  const std::size_t num_executors =
+      impl_->pool == nullptr ? 1 : impl_->pool->num_threads() + 1;
   std::vector<std::unique_ptr<Executor>> executors;
-  std::vector<Executor*> free_executors;
-  for (std::size_t w = 0; w < pool.num_threads() + 1; ++w) {
+  std::vector<Executor*> executor_ptrs;
+  for (std::size_t w = 0; w < num_executors; ++w) {
     executors.push_back(
         std::make_unique<Executor>(hin, options.index, exec_options));
-    free_executors.push_back(executors.back().get());
-  }
-  // Guards free_executors (locals cannot carry GUARDED_BY; the
-  // capability layer still checks the acquire/release pairing).
-  Mutex executor_mutex;
-
-  // DAG scheduling state. Each op's slot/runtime/status is written only
-  // by the op's own task; consumers run only after every input's
-  // completion decremented their indegree (acq_rel, so the final
-  // decrement publishes all inputs' writes).
-  std::vector<OpOutput> slots(num_ops);
-  std::vector<PlanOpRuntime> runtimes(num_ops);
-  std::vector<Status> statuses(num_ops);
-  std::vector<std::vector<std::size_t>> consumers(num_ops);
-  const auto indegree =
-      std::make_unique<std::atomic<std::size_t>[]>(num_ops);
-  for (std::size_t id = 0; id < num_ops; ++id) {
-    indegree[id].store(plan.ops[id].inputs.size(),
-                       std::memory_order_relaxed);
-    for (const std::size_t input : plan.ops[id].inputs) {
-      consumers[input].push_back(id);
-    }
+    executor_ptrs.push_back(executors.back().get());
   }
 
-  TaskGroup group(&pool);
-  std::function<void(std::size_t)> run_op = [&](std::size_t id) {
-    // Skip propagation: an op whose input failed (or was skipped)
-    // inherits the first failing input's status and never executes.
-    Status input_failure;
-    for (const std::size_t input : plan.ops[id].inputs) {
-      if (!statuses[input].ok()) {
-        input_failure = statuses[input];
-        break;
-      }
-    }
-    // An op whose every consuming query has stopped is dead weight:
-    // record a stop status instead of executing (skip-propagation then
-    // retires its downstream the same way). A null consumer belongs to a
-    // query without limits and keeps the op live.
-    const CancellationToken* sole_stopper = nullptr;
-    bool all_consumers_stopped = !op_tokens[id].empty();
-    for (const CancellationToken* tok : op_tokens[id]) {
-      if (tok == nullptr || !tok->ShouldStop()) {
-        all_consumers_stopped = false;
-        break;
-      }
-      sole_stopper = tok;
-    }
-    if (!input_failure.ok()) {
-      statuses[id] = std::move(input_failure);
-    } else if (all_consumers_stopped) {
-      statuses[id] = sole_stopper->ToStatus();
-    } else {
-      Executor* executor = nullptr;
-      {
-        MutexLock lock(executor_mutex);
-        executor = free_executors.back();
-        free_executors.pop_back();
-      }
-      // Install the token only on a query-exclusive op; a shared op must
-      // run to completion for the other consumers.
-      const CancellationToken* exclusive =
-          op_tokens[id].size() == 1 ? op_tokens[id][0] : nullptr;
-      if (exclusive != nullptr) executor->SetStopToken(exclusive);
-      statuses[id] = executor->ExecuteOp(plan, id,
-                                         std::span<OpOutput>(slots),
-                                         &runtimes[id]);
-      if (exclusive != nullptr) executor->SetStopToken(nullptr);
-      {
-        MutexLock lock(executor_mutex);
-        free_executors.push_back(executor);
-      }
-    }
-    for (const std::size_t consumer : consumers[id]) {
-      if (indegree[consumer].fetch_sub(1, std::memory_order_acq_rel) ==
-          1) {
-        group.Submit([&run_op, consumer] { run_op(consumer); });
-      }
-    }
-  };
-  // Seed from the static inputs.empty() property, never the live atomic:
-  // a root submitted earlier in this loop may already be cascading on a
-  // worker, driving downstream indegrees to zero before the scan reaches
-  // them -- reading the counter here would submit those ops a second
-  // time. Input-free ops appear in no consumers list, so the static test
-  // and the final-decrement submit partition the DAG exactly.
-  for (std::size_t id = 0; id < num_ops; ++id) {
-    if (plan.ops[id].inputs.empty()) {
-      group.Submit([&run_op, id] { run_op(id); });
-    }
-  }
-  group.Wait();
-
-  // Per-query assembly, mirroring single-query semantics: set-phase
-  // errors first, then the empty-candidate early-out, then the
-  // empty-reference precondition, then the first feature-pipeline error.
-  // A failure that is this query's own stop status resolves per
-  // StopPolicy: kError reports it, kPartial assembles the completed
-  // operators into a degraded result — exactly like a solo Run().
-  for (std::size_t pi = 0; pi < prepared.size(); ++pi) {
-    const Prepared& p = prepared[pi];
-    BatchOutcome& outcome = outcomes[p.input_index];
-    const PlanQuery& entry = plan.queries[p.query_index];
-    Status failure;
-    for (const std::size_t id : entry.set_phase_ops) {
-      if (!statuses[id].ok()) {
-        failure = statuses[id];
-        break;
-      }
-    }
-    const bool candidates_empty =
-        failure.ok() && slots[entry.candidate_op].members.empty();
-    if (failure.ok() && !candidates_empty) {
-      if (slots[entry.reference_op].members.empty()) {
-        failure = Status::FailedPrecondition("the reference set is empty");
-      } else {
-        for (const std::size_t id : entry.ops) {
-          if (!statuses[id].ok()) {
-            failure = statuses[id];
-            break;
-          }
-        }
-      }
-    }
-    const CancellationToken* tok = token_ptrs[pi];
-    if (failure.ok() && tok != nullptr && tok->ShouldStop()) {
-      // The query stopped after its last owned op completed (e.g. the
-      // deadline fired during someone else's operator): still degraded.
-      failure = tok->ToStatus();
-    }
-    const bool degrade = !failure.ok() && IsStopStatus(failure) &&
-                         options.exec.stop_policy == StopPolicy::kPartial;
-    if (!failure.ok() && !degrade) {
-      outcome.status = std::move(failure);
-      continue;
-    }
-    outcome.result = executors[0]->AssembleResult(
-        plan, p.query_index, slots, runtimes);
-    if (degrade) {
-      outcome.result.degraded = true;
-      outcome.result.stop_reason =
-          tok != nullptr && tok->stop_reason() != StopReason::kNone
-              ? tok->stop_reason()
-              : StopReasonFromStatus(failure.code());
-    }
+  std::vector<BatchOutcome> planned(prepared.size());
+  RunPhysicalPlan(plan, token_ptrs, options.exec.stop_policy,
+                  impl_->pool.get(), executor_ptrs, planned);
+  for (std::size_t k = 0; k < prepared.size(); ++k) {
+    BatchOutcome& outcome = outcomes[prepared[k].input_index];
+    outcome = std::move(planned[k]);
+    if (!outcome.status.ok()) continue;
     QueryExecStats& stats = outcome.result.stats;
-    stats.stages.parse_nanos = p.parse_nanos;
-    stats.stages.analyze_nanos = p.analyze_nanos;
-    // No end-to-end clock exists for one query of a merged DAG; report
+    stats.stages.parse_nanos = prepared[k].parse_nanos;
+    stats.stages.analyze_nanos = prepared[k].analyze_nanos;
+    // No end-to-end clock exists for one query of a shared DAG; report
     // the work it consumed instead.
-    stats.total_nanos = p.parse_nanos + p.analyze_nanos;
-    for (const std::size_t id : entry.ops) {
-      if (runtimes[id].executed) stats.total_nanos += runtimes[id].wall_nanos;
+    stats.total_nanos = prepared[k].parse_nanos + prepared[k].analyze_nanos;
+    for (const PlanOpInfo& op : outcome.result.plan_ops) {
+      if (op.executed) stats.total_nanos += op.wall_nanos;
     }
   }
-  return outcomes;
-}
-
-std::vector<BatchOutcome> BatchRunner::Run(
-    const std::vector<std::string>& queries) {
-  std::vector<BatchQuery> batch;
-  batch.reserve(queries.size());
-  for (const std::string& text : queries) {
-    batch.push_back(BatchQuery{text, nullptr});
-  }
-  return Run(batch);
-}
-
-std::vector<BatchOutcome> BatchRunner::Run(
-    const std::vector<BatchQuery>& queries) {
-  std::vector<BatchOutcome> outcomes(queries.size());
-  if (queries.empty()) return outcomes;
-
-  // The attached index is shared by every worker engine; with more than
-  // one worker an index that cannot serve concurrent lookups would be a
-  // silent data race, so reject the whole batch up front. All in-tree
-  // indexes (PM/SPM/CachedIndex) are concurrent-safe.
-  if (impl_->options.index != nullptr && impl_->pool.num_threads() > 1 &&
-      !impl_->options.index->SupportsConcurrentUse()) {
-    const Status rejected = Status::FailedPrecondition(
-        "the attached index reports SupportsConcurrentUse() == false and "
-        "cannot be shared across BatchRunner workers; use one thread or "
-        "a concurrent-safe index");
-    for (BatchOutcome& outcome : outcomes) outcome.status = rejected;
-    return outcomes;
-  }
-
-  if (impl_->batch_options.merge_plans) {
-    return impl_->RunMerged(queries);
-  }
-
-  // Contiguous slices, one Engine per slice: engines are cheap but not
-  // free (traversal workspaces), so build one per task rather than one
-  // per query.
-  const std::size_t num_slices =
-      std::min(queries.size(), impl_->pool.num_threads() * 4);
-  const std::size_t slice_size =
-      (queries.size() + num_slices - 1) / num_slices;
-  // Per-run TaskGroup: concurrent Run() calls on one runner each wait
-  // for their own slices only (the pool-global Wait() would interleave
-  // them and block each caller on the other's work).
-  TaskGroup group(&impl_->pool);
-  for (std::size_t begin = 0; begin < queries.size(); begin += slice_size) {
-    const std::size_t end = std::min(queries.size(), begin + slice_size);
-    group.Submit([this, &queries, &outcomes, begin, end] {
-      Engine engine(impl_->hin, impl_->options);
-      for (std::size_t i = begin; i < end; ++i) {
-        auto result = engine.Execute(queries[i].text, queries[i].cancel);
-        if (result.ok()) {
-          outcomes[i].result = std::move(result).value();
-        } else {
-          outcomes[i].status = result.status();
-        }
-      }
-    });
-  }
-  group.Wait();
   return outcomes;
 }
 

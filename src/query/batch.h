@@ -9,13 +9,6 @@
 
 namespace netout {
 
-/// Outcome of one query in a batch: either `status` is non-OK or
-/// `result` is valid.
-struct BatchOutcome {
-  Status status;
-  QueryResult result;
-};
-
 /// One query of a batch with an optional per-query cancel handle
 /// (borrowed, may be null; must outlive the Run call). The handle chains
 /// into the query's own control token — which also arms the engine-wide
@@ -26,35 +19,27 @@ struct BatchQuery {
   const CancellationToken* cancel = nullptr;
 };
 
-/// Batch execution knobs.
-struct BatchOptions {
-  /// Merge the whole workload into ONE shared physical plan: every query
-  /// is lowered into the same Planner, so identical set expressions,
-  /// WHERE conditions and feature materializations — and common
-  /// meta-path prefixes — across queries become one shared operator, and
-  /// the operator DAG is scheduled across the workers as inputs
-  /// complete. Per-query outcomes (scores, top-k, error isolation) are
-  /// identical to unmerged execution; stats differ in that shared work
-  /// is charged to the first query that requested it and counted as
-  /// vectors_reused by the others, and total_nanos sums the query's
-  /// per-operator wall times rather than one end-to-end clock.
-  /// Off (default): one independent Engine execution per query.
-  bool merge_plans = false;
-};
-
-/// Executes batches of outlier queries concurrently. The immutable Hin
-/// and indexes are shared; each worker owns a private Engine (traversal
-/// workspaces are the only mutable state), so execution is lock-free.
+/// Executes batches of outlier queries as one shared physical plan:
+/// every query is lowered into the same Planner, so identical set
+/// expressions, WHERE conditions and feature materializations — and
+/// common meta-path prefixes — across queries become one shared
+/// operator, and RunPhysicalPlan runs the DAG. Per-query answers are
+/// bitwise identical to a solo Engine::Execute; stats differ in that
+/// shared work is charged to the first query that requested it and
+/// counted as vectors_reused by the others, and total_nanos sums the
+/// query's parse, analyze and per-operator wall times rather than one
+/// end-to-end clock.
 ///
 /// This is an extension beyond the paper (whose measurements are
 /// single-threaded, as are the Figure 3-5 benches here); it serves
 /// multi-analyst / dashboard workloads.
 class BatchRunner {
  public:
-  /// `num_threads` workers are spawned once and reused across Run calls.
+  /// With `num_threads` > 1, that many workers are spawned once and
+  /// reused across Run calls; with 1, every Run executes inline on the
+  /// calling thread.
   BatchRunner(HinPtr hin, const EngineOptions& engine_options,
-              std::size_t num_threads,
-              const BatchOptions& batch_options = {});
+              std::size_t num_threads);
   ~BatchRunner();
 
   BatchRunner(const BatchRunner&) = delete;
@@ -69,13 +54,12 @@ class BatchRunner {
   /// than one worker, every outcome fails with kFailedPrecondition
   /// instead of racing on the shared index.
   ///
-  /// Deadlines/budgets/cancellation are per query, in merged mode too:
-  /// each query of the shared DAG carries its own control token,
-  /// installed only around the operators that query exclusively owns.
-  /// Shared operators never observe any token (a stop must not poison
-  /// the queries still running), and an operator is skipped outright
-  /// only once every consuming query has stopped. A stopped query
-  /// resolves like a single-query run: its stop status under
+  /// Deadlines/budgets/cancellation are per query: each query carries
+  /// its own control token, installed only around the operators that
+  /// query owns alone. Shared operators never observe any token (a stop
+  /// must not poison the queries still running), and an operator is
+  /// skipped once no consuming query is live (RunPhysicalPlan). A
+  /// stopped query resolves like a solo run: its stop status under
   /// StopPolicy::kError, or a degraded partial result under kPartial.
   std::vector<BatchOutcome> Run(const std::vector<std::string>& queries);
   std::vector<BatchOutcome> Run(const std::vector<BatchQuery>& queries);

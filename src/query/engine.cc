@@ -138,10 +138,10 @@ std::string Engine::ExplainPlan(const QueryPlan& plan) const {
                   PlannerOptions{options_.exec.plan_cse,
                                  options_.exec.cost_based_order,
                                  options_.index});
-  planner.AddQuery(plan);
+  const std::size_t query_index = planner.AddQuery(plan);
   const PhysicalPlan physical = planner.Take();
-  const std::vector<PlanOpInfo> infos =
-      DescribePhysicalPlan(*hin_, physical);
+  const std::vector<PlanOpInfo> infos = DescribePhysicalPlan(
+      *hin_, physical, physical.queries[query_index].ops);
   return RenderPlan(infos, /*include_runtime=*/false);
 }
 

@@ -1,11 +1,15 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/stopwatch.h"
+#include "common/sync.h"
 #include "common/thread_pool.h"
 #include "measure/topk.h"
 #include "query/planner.h"
@@ -141,59 +145,46 @@ std::size_t Executor::MaterializeWorkers(std::size_t count) const {
   return std::min(worker_evaluators_.size(), count);
 }
 
-Result<std::vector<SparseVector>> Executor::MaterializeVectors(
-    TypeId subject_type, const MetaPath& path,
-    const std::vector<LocalId>& members, EvalStats* stats) {
-  std::vector<SparseVector> vectors(members.size());
-  const std::size_t workers = MaterializeWorkers(members.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < members.size(); ++i) {
+template <typename Produce>
+Result<std::vector<SparseVector>> Executor::MapSharded(
+    std::size_t count, EvalStats* stats, const Produce& produce) {
+  std::vector<SparseVector> vectors(count);
+  const auto run_shard = [&](std::size_t begin, std::size_t end,
+                             NeighborVectorEvaluator& evaluator,
+                             EvalStats* shard_stats) -> Status {
+    DenseAccumulator acc;
+    for (std::size_t i = begin; i < end; ++i) {
       if (stop_token_ != nullptr && stop_token_->ShouldStop()) {
         return stop_token_->ToStatus();
       }
-      NETOUT_ASSIGN_OR_RETURN(
-          vectors[i], evaluator_.Evaluate(VertexRef{subject_type, members[i]},
-                                          path, stats));
+      NETOUT_ASSIGN_OR_RETURN(vectors[i],
+                              produce(i, evaluator, acc, shard_stats));
       if (stop_token_ != nullptr) {
         stop_token_->ChargeBytes(vectors[i].MemoryBytes());
       }
     }
+    return Status::OK();
+  };
+  const std::size_t workers = MaterializeWorkers(count);
+  if (workers <= 1) {
+    NETOUT_RETURN_IF_ERROR(run_shard(0, count, evaluator_, stats));
     return vectors;
   }
 
-  // One contiguous shard per worker evaluator; each shard owns private
-  // stats and status slots, merged in shard order below so the reported
-  // totals and the surfaced first error match serial execution.
   std::vector<EvalStats> shard_stats(workers);
   std::vector<Status> shard_status(workers);
-  const std::size_t shard_size = (members.size() + workers - 1) / workers;
+  const std::size_t shard_size = (count + workers - 1) / workers;
   // A tripped token makes the group skip still-queued shards entirely
   // (their status slots stay OK with unwritten vectors); the token check
   // after the merge below keeps such holes from escaping as results.
   TaskGroup group(pool_.get(), stop_token_);
   for (std::size_t w = 0; w < workers; ++w) {
     const std::size_t begin = w * shard_size;
-    const std::size_t end = std::min(members.size(), begin + shard_size);
+    const std::size_t end = std::min(count, begin + shard_size);
     if (begin >= end) break;
-    group.Submit([this, w, begin, end, subject_type, &path, &members,
-                  &vectors, &shard_stats, &shard_status] {
-      NeighborVectorEvaluator& evaluator = *worker_evaluators_[w];
-      for (std::size_t i = begin; i < end; ++i) {
-        if (stop_token_ != nullptr && stop_token_->ShouldStop()) {
-          shard_status[w] = stop_token_->ToStatus();
-          return;
-        }
-        Result<SparseVector> vec = evaluator.Evaluate(
-            VertexRef{subject_type, members[i]}, path, &shard_stats[w]);
-        if (!vec.ok()) {
-          shard_status[w] = vec.status();
-          return;
-        }
-        vectors[i] = std::move(vec).value();
-        if (stop_token_ != nullptr) {
-          stop_token_->ChargeBytes(vectors[i].MemoryBytes());
-        }
-      }
+    group.Submit([&, w, begin, end] {
+      shard_status[w] =
+          run_shard(begin, end, *worker_evaluators_[w], &shard_stats[w]);
     });
   }
   group.Wait();
@@ -213,120 +204,16 @@ Result<std::vector<SparseVector>> Executor::MaterializeVectors(
   return vectors;
 }
 
-Result<std::vector<SparseVector>> Executor::ExtendVectors(
-    const MetaPath& suffix, const std::vector<SparseVector>& parents,
-    EvalStats* stats) {
-  std::vector<SparseVector> vectors(parents.size());
-  const std::size_t workers = MaterializeWorkers(parents.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < parents.size(); ++i) {
-      if (stop_token_ != nullptr && stop_token_->ShouldStop()) {
-        return stop_token_->ToStatus();
-      }
-      NETOUT_ASSIGN_OR_RETURN(
-          vectors[i],
-          evaluator_.EvaluateFrontier(parents[i], suffix, stats));
-      if (stop_token_ != nullptr) {
-        stop_token_->ChargeBytes(vectors[i].MemoryBytes());
-      }
-    }
-    return vectors;
-  }
-
-  std::vector<EvalStats> shard_stats(workers);
-  std::vector<Status> shard_status(workers);
-  const std::size_t shard_size = (parents.size() + workers - 1) / workers;
-  TaskGroup group(pool_.get(), stop_token_);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * shard_size;
-    const std::size_t end = std::min(parents.size(), begin + shard_size);
-    if (begin >= end) break;
-    group.Submit([this, w, begin, end, &suffix, &parents, &vectors,
-                  &shard_stats, &shard_status] {
-      NeighborVectorEvaluator& evaluator = *worker_evaluators_[w];
-      for (std::size_t i = begin; i < end; ++i) {
-        if (stop_token_ != nullptr && stop_token_->ShouldStop()) {
-          shard_status[w] = stop_token_->ToStatus();
-          return;
-        }
-        Result<SparseVector> vec =
-            evaluator.EvaluateFrontier(parents[i], suffix, &shard_stats[w]);
-        if (!vec.ok()) {
-          shard_status[w] = vec.status();
-          return;
-        }
-        vectors[i] = std::move(vec).value();
-        if (stop_token_ != nullptr) {
-          stop_token_->ChargeBytes(vectors[i].MemoryBytes());
-        }
-      }
-    });
-  }
-  group.Wait();
-  for (std::size_t w = 0; w < workers; ++w) {
-    if (stats != nullptr) stats->MergeFrom(shard_stats[w]);
-  }
-  for (std::size_t w = 0; w < workers; ++w) {
-    if (!shard_status[w].ok() && !IsStopStatus(shard_status[w])) {
-      return shard_status[w];
-    }
-  }
-  if (stop_token_ != nullptr && stop_token_->ShouldStop()) {
-    return stop_token_->ToStatus();
-  }
-  return vectors;
-}
-
-Result<std::vector<SparseVector>> Executor::ApplyMatrixVectors(
-    const RelationMatrix& matrix, const std::vector<SparseVector>& parents) {
-  std::vector<SparseVector> vectors(parents.size());
-  const std::size_t workers = MaterializeWorkers(parents.size());
-  if (workers <= 1) {
-    DenseAccumulator acc;
-    for (std::size_t i = 0; i < parents.size(); ++i) {
-      if (stop_token_ != nullptr && stop_token_->ShouldStop()) {
-        return stop_token_->ToStatus();
-      }
-      vectors[i] = MultiplyRowVector(parents[i], matrix, &acc);
-      if (stop_token_ != nullptr) {
-        stop_token_->ChargeBytes(vectors[i].MemoryBytes());
-      }
-    }
-    return vectors;
-  }
-
-  std::vector<Status> shard_status(workers);
-  const std::size_t shard_size = (parents.size() + workers - 1) / workers;
-  TaskGroup group(pool_.get(), stop_token_);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * shard_size;
-    const std::size_t end = std::min(parents.size(), begin + shard_size);
-    if (begin >= end) break;
-    group.Submit([this, w, begin, end, &matrix, &parents, &vectors,
-                  &shard_status] {
-      DenseAccumulator acc;
-      for (std::size_t i = begin; i < end; ++i) {
-        if (stop_token_ != nullptr && stop_token_->ShouldStop()) {
-          shard_status[w] = stop_token_->ToStatus();
-          return;
-        }
-        vectors[i] = MultiplyRowVector(parents[i], matrix, &acc);
-        if (stop_token_ != nullptr) {
-          stop_token_->ChargeBytes(vectors[i].MemoryBytes());
-        }
-      }
-    });
-  }
-  group.Wait();
-  for (std::size_t w = 0; w < workers; ++w) {
-    if (!shard_status[w].ok() && !IsStopStatus(shard_status[w])) {
-      return shard_status[w];
-    }
-  }
-  if (stop_token_ != nullptr && stop_token_->ShouldStop()) {
-    return stop_token_->ToStatus();
-  }
-  return vectors;
+Result<std::vector<SparseVector>> Executor::MaterializeVectors(
+    TypeId subject_type, const MetaPath& path,
+    const std::vector<LocalId>& members, EvalStats* stats) {
+  return MapSharded(
+      members.size(), stats,
+      [&](std::size_t i, NeighborVectorEvaluator& evaluator,
+          DenseAccumulator&, EvalStats* shard_stats) {
+        return evaluator.Evaluate(VertexRef{subject_type, members[i]}, path,
+                                  shard_stats);
+      });
 }
 
 Status Executor::ExecuteOp(const PhysicalPlan& plan, std::size_t id,
@@ -410,9 +297,19 @@ Status Executor::ExecuteOp(const PhysicalPlan& plan, std::size_t id,
         const RelationMatrix& matrix =
             slots[op.inputs[op.matrix_input]].matrix;
         if (op.extends) {
+          // The cost-based split's apply step: every parent vector
+          // multiplied through the materialized relation.
+          const std::vector<SparseVector>& parents =
+              slots[op.inputs[0]].vectors;
           NETOUT_ASSIGN_OR_RETURN(
               out.vectors,
-              ApplyMatrixVectors(matrix, slots[op.inputs[0]].vectors));
+              MapSharded(parents.size(), stats,
+                         [&](std::size_t i, NeighborVectorEvaluator&,
+                             DenseAccumulator& acc,
+                             EvalStats*) -> Result<SparseVector> {
+                           return MultiplyRowVector(parents[i], matrix,
+                                                    &acc);
+                         }));
         } else {
           // Whole-path matrix: a member's neighbor vector IS its row.
           const std::vector<LocalId>& members =
@@ -426,9 +323,18 @@ Status Executor::ExecuteOp(const PhysicalPlan& plan, std::size_t id,
           }
         }
       } else if (op.extends) {
+        // Shared-prefix reuse: extend the parent's vectors along the
+        // remaining suffix.
+        const std::vector<SparseVector>& parents =
+            slots[op.inputs[0]].vectors;
         NETOUT_ASSIGN_OR_RETURN(
             out.vectors,
-            ExtendVectors(op.path, slots[op.inputs[0]].vectors, stats));
+            MapSharded(parents.size(), stats,
+                       [&](std::size_t i, NeighborVectorEvaluator& evaluator,
+                           DenseAccumulator&, EvalStats* shard_stats) {
+                         return evaluator.EvaluateFrontier(
+                             parents[i], op.path, shard_stats);
+                       }));
       } else {
         NETOUT_ASSIGN_OR_RETURN(
             out.vectors,
@@ -622,7 +528,6 @@ QueryResult Executor::AssembleResult(
       case PhysOpKind::kScore:
       case PhysOpKind::kCombine:
         stats.stages.score_nanos += rt.wall_nanos;
-        stats.scoring.AddNanos(rt.wall_nanos);
         break;
       case PhysOpKind::kTopK:
         stats.stages.topk_nanos += rt.wall_nanos;
@@ -660,10 +565,9 @@ QueryResult Executor::AssembleResult(
     }
   }
 
-  std::vector<PlanOpInfo> infos = DescribePhysicalPlan(*hin_, plan);
-  result.plan_ops.reserve(entry.ops.size());
-  for (const std::size_t id : entry.ops) {
-    PlanOpInfo info = std::move(infos[id]);
+  result.plan_ops = DescribePhysicalPlan(*hin_, plan, entry.ops);
+  for (PlanOpInfo& info : result.plan_ops) {
+    const std::size_t id = info.id;
     const PlanOpRuntime& rt = runtimes[id];
     info.executed = rt.executed;
     info.wall_nanos = rt.wall_nanos;
@@ -672,71 +576,7 @@ QueryResult Executor::AssembleResult(
       info.vectors_materialized = rt.rows;
       info.vectors_reused = rt.rows * (info.reuse_count - 1);
     }
-    result.plan_ops.push_back(std::move(info));
   }
-  return result;
-}
-
-Result<QueryResult> Executor::RunPlanned(const PhysicalPlan& plan,
-                                         std::size_t query_index,
-                                         const Stopwatch& total_watch) {
-  const PlanQuery& entry = plan.queries[query_index];
-  std::vector<OpOutput> slots(plan.ops.size());
-  std::vector<PlanOpRuntime> runtimes(plan.ops.size());
-  const std::span<OpOutput> slot_span(slots);
-
-  const auto run_ops = [&](std::span<const std::size_t> ids) -> Status {
-    for (const std::size_t id : ids) {
-      if (slots[id].has_value) continue;  // ran in an earlier phase
-      NETOUT_RETURN_IF_ERROR(ExecuteOp(plan, id, slot_span, &runtimes[id]));
-    }
-    return Status::OK();
-  };
-  // Graceful degradation: a stop status under StopPolicy::kPartial
-  // becomes a best-effort result assembled from the completed operators
-  // (AssembleResult tolerates unexecuted slots), marked degraded with
-  // the trigger that fired.
-  const auto degrade = [&](const Status& stop) -> QueryResult {
-    QueryResult result = AssembleResult(plan, query_index, slots, runtimes);
-    result.degraded = true;
-    result.stop_reason =
-        stop_token_ != nullptr &&
-                stop_token_->stop_reason() != StopReason::kNone
-            ? stop_token_->stop_reason()
-            : StopReasonFromStatus(stop.code());
-    result.stats.total_nanos = total_watch.ElapsedNanos();
-    return result;
-  };
-
-  Status set_status = run_ops(entry.set_phase_ops);
-  if (!set_status.ok()) {
-    if (IsStopStatus(set_status) &&
-        options_.stop_policy == StopPolicy::kPartial) {
-      return degrade(set_status);
-    }
-    return set_status;
-  }
-  if (slots[entry.candidate_op].members.empty()) {
-    // Legacy early-out: nothing to rank, skip the feature pipeline.
-    QueryResult result =
-        AssembleResult(plan, query_index, slots, runtimes);
-    result.stats.total_nanos = total_watch.ElapsedNanos();
-    return result;
-  }
-  if (slots[entry.reference_op].members.empty()) {
-    return Status::FailedPrecondition("the reference set is empty");
-  }
-
-  Status feature_status = run_ops(entry.ops);
-  if (!feature_status.ok()) {
-    if (IsStopStatus(feature_status) &&
-        options_.stop_policy == StopPolicy::kPartial) {
-      return degrade(feature_status);
-    }
-    return feature_status;
-  }
-  QueryResult result = AssembleResult(plan, query_index, slots, runtimes);
-  result.stats.total_nanos = total_watch.ElapsedNanos();
   return result;
 }
 
@@ -764,19 +604,21 @@ Result<QueryResult> Executor::Run(const QueryPlan& plan,
   // execution is byte-for-byte the pre-limit code path.
   const CancellationToken control(options_.timeout_millis,
                                   options_.memory_budget_bytes, cancel);
-  struct TokenScope {
-    Executor* executor;
-    ~TokenScope() { executor->SetStopToken(nullptr); }
-  } scope{this};
-  SetStopToken(control.has_limits() || cancel != nullptr ? &control
-                                                         : nullptr);
+  const CancellationToken* const token =
+      control.has_limits() || cancel != nullptr ? &control : nullptr;
 
   Stopwatch total_watch;
   Planner planner(*hin_, PlannerOptions{options_.plan_cse,
                                         options_.cost_based_order, index_});
-  const std::size_t query_index = planner.AddQuery(plan);
+  planner.AddQuery(plan);
   const PhysicalPlan physical = planner.Take();
-  return RunPlanned(physical, query_index, total_watch);
+  Executor* const self = this;
+  BatchOutcome outcome;
+  RunPhysicalPlan(physical, {&token, 1}, options_.stop_policy,
+                  /*pool=*/nullptr, {&self, 1}, {&outcome, 1});
+  if (!outcome.status.ok()) return std::move(outcome.status);
+  outcome.result.stats.total_nanos = total_watch.ElapsedNanos();
+  return std::move(outcome.result);
 }
 
 Result<std::vector<VertexRef>> Executor::EvaluateSet(
@@ -799,6 +641,246 @@ Result<std::vector<VertexRef>> Executor::EvaluateSet(
     out.push_back(VertexRef{set.element_type, member});
   }
   return out;
+}
+
+namespace {
+
+/// One RunPhysicalPlan call: the op slots, what each op observed, and
+/// the skip rule, shared by the inline and the pool schedule. In pool
+/// mode runtimes_ and the outcome statuses are read and written only
+/// under the schedule's mutex; a slot is written only by its op's task
+/// and read by the op's consumers after the indegree hand-off.
+class PlanRun {
+ public:
+  PlanRun(const PhysicalPlan& plan,
+          std::span<const CancellationToken* const> tokens,
+          std::span<BatchOutcome> outcomes)
+      : plan_(plan),
+        tokens_(tokens),
+        outcomes_(outcomes),
+        slots_(plan.ops.size()),
+        runtimes_(plan.ops.size()) {
+    // The queries consuming each op, as one flat list:
+    // consumers_[first_consumer_[id] .. first_consumer_[id + 1]).
+    if (plan.queries.size() == 1) return;
+    const std::size_t num_ops = plan.ops.size();
+    first_consumer_.assign(num_ops + 1, 0);
+    for (const PlanQuery& entry : plan.queries) {
+      for (const std::size_t id : entry.ops) ++first_consumer_[id];
+    }
+    for (std::size_t id = 1; id <= num_ops; ++id) {
+      first_consumer_[id] += first_consumer_[id - 1];
+    }
+    consumers_.resize(first_consumer_[num_ops]);
+    for (std::size_t q = plan.queries.size(); q-- > 0;) {
+      for (const std::size_t id : plan.queries[q].ops) {
+        consumers_[--first_consumer_[id]] = q;
+      }
+    }
+  }
+
+  /// The skip rule: op `id` runs only while some query consuming it
+  /// still needs it.
+  bool IsLive(std::size_t id) const {
+    for (const std::size_t q : ConsumersOf(id)) {
+      if (Needs(q, id)) return true;
+    }
+    return false;
+  }
+
+  /// Runs op `id` on `executor`, under the token of its one consuming
+  /// query; a shared op runs token-free.
+  Status Execute(Executor& executor, std::size_t id, PlanOpRuntime* runtime) {
+    const std::span<const std::size_t> consumers = ConsumersOf(id);
+    executor.SetStopToken(consumers.size() == 1 ? tokens_[consumers[0]]
+                                                : nullptr);
+    Status status = executor.ExecuteOp(plan_, id, slots_, runtime);
+    executor.SetStopToken(nullptr);
+    return status;
+  }
+
+  /// A failed op retires every query consuming it; a query reports its
+  /// first failure.
+  void Fail(std::size_t id, const Status& status) {
+    for (const std::size_t q : ConsumersOf(id)) {
+      if (outcomes_[q].status.ok()) outcomes_[q].status = status;
+    }
+  }
+
+  void RunInline(Executor& executor) {
+    for (std::size_t id = 0; id < plan_.ops.size(); ++id) {
+      if (!IsLive(id)) continue;
+      const Status status = Execute(executor, id, &runtimes_[id]);
+      if (!status.ok()) Fail(id, status);
+    }
+  }
+
+  void RunPooled(ThreadPool& pool, std::span<Executor* const> executors) {
+    const std::size_t num_ops = plan_.ops.size();
+    // Guards free_executors, runtimes_ and the outcome statuses the skip
+    // rule reads (locals cannot carry GUARDED_BY; the capability layer
+    // still checks the acquire/release pairing).
+    Mutex mutex;
+    std::vector<Executor*> free_executors(executors.begin(),
+                                          executors.end());
+    // A consumer is submitted only after every input's completion
+    // decremented its indegree (acq_rel, so the final decrement
+    // publishes all inputs' slot writes).
+    std::vector<std::vector<std::size_t>> consumers(num_ops);
+    const auto indegree =
+        std::make_unique<std::atomic<std::size_t>[]>(num_ops);
+    for (std::size_t id = 0; id < num_ops; ++id) {
+      indegree[id].store(plan_.ops[id].inputs.size(),
+                         std::memory_order_relaxed);
+      for (const std::size_t input : plan_.ops[id].inputs) {
+        consumers[input].push_back(id);
+      }
+    }
+
+    TaskGroup group(&pool);
+    std::function<void(std::size_t)> run_op = [&](std::size_t id) {
+      Executor* executor = nullptr;
+      {
+        MutexLock lock(mutex);
+        if (IsLive(id)) {
+          executor = free_executors.back();
+          free_executors.pop_back();
+        }
+      }
+      if (executor != nullptr) {
+        PlanOpRuntime runtime;
+        const Status status = Execute(*executor, id, &runtime);
+        MutexLock lock(mutex);
+        runtimes_[id] = runtime;
+        if (!status.ok()) Fail(id, status);
+        free_executors.push_back(executor);
+      }
+      for (const std::size_t consumer : consumers[id]) {
+        if (indegree[consumer].fetch_sub(1, std::memory_order_acq_rel) ==
+            1) {
+          group.Submit([&run_op, consumer] { run_op(consumer); });
+        }
+      }
+    };
+    // Seed from the static inputs.empty() property, never the live atomic:
+    // a root submitted earlier in this loop may already be cascading on a
+    // worker, driving downstream indegrees to zero before the scan reaches
+    // them -- reading the counter here would submit those ops a second
+    // time. Input-free ops appear in no consumers list, so the static test
+    // and the final-decrement submit partition the DAG exactly.
+    for (std::size_t id = 0; id < num_ops; ++id) {
+      if (plan_.ops[id].inputs.empty()) {
+        group.Submit([&run_op, id] { run_op(id); });
+      }
+    }
+    group.Wait();
+  }
+
+  /// Resolves each query's outcome (order documented at RunPhysicalPlan).
+  void Resolve(StopPolicy stop_policy, const Executor& executor) {
+    for (std::size_t q = 0; q < outcomes_.size(); ++q) {
+      BatchOutcome& outcome = outcomes_[q];
+      const PlanQuery& entry = plan_.queries[q];
+      const CancellationToken* token = tokens_[q];
+      Status failure = std::exchange(outcome.status, Status::OK());
+      if (failure.ok()) {
+        if (!runtimes_[entry.candidate_op].executed ||
+            !runtimes_[entry.reference_op].executed) {
+          failure = StopStatus(token);
+        } else if (slots_[entry.candidate_op].members.empty()) {
+          // Nothing to rank: an empty result, not an error.
+        } else if (slots_[entry.reference_op].members.empty()) {
+          failure = Status::FailedPrecondition("the reference set is empty");
+        } else if (!runtimes_[entry.topk_op].executed) {
+          failure = StopStatus(token);
+        }
+      }
+      const bool degrade = !failure.ok() && IsStopStatus(failure) &&
+                           stop_policy == StopPolicy::kPartial;
+      if (!failure.ok() && !degrade) {
+        outcome.status = std::move(failure);
+        continue;
+      }
+      outcome.result = executor.AssembleResult(plan_, q, slots_, runtimes_);
+      if (degrade) {
+        outcome.result.degraded = true;
+        outcome.result.stop_reason =
+            token != nullptr && token->stop_reason() != StopReason::kNone
+                ? token->stop_reason()
+                : StopReasonFromStatus(failure.code());
+      }
+    }
+  }
+
+ private:
+  std::span<const std::size_t> ConsumersOf(std::size_t id) const {
+    // A solo plan skips the flat list, so a solo run allocates no more
+    // than its slots and runtimes.
+    if (plan_.queries.size() == 1) {
+      static constexpr std::size_t kSoloQuery[] = {0};
+      const std::vector<std::size_t>& ops = plan_.queries[0].ops;
+      return std::binary_search(ops.begin(), ops.end(), id)
+                 ? std::span<const std::size_t>(kSoloQuery)
+                 : std::span<const std::size_t>();
+    }
+    return std::span<const std::size_t>(consumers_).subspan(
+        first_consumer_[id], first_consumer_[id + 1] - first_consumer_[id]);
+  }
+
+  /// Whether query `q` still needs op `id`: it has not failed or
+  /// stopped, and `id` is in its set phase or neither of its sets came
+  /// out empty.
+  bool Needs(std::size_t q, std::size_t id) const {
+    if (!outcomes_[q].status.ok()) return false;
+    const CancellationToken* token = tokens_[q];
+    if (token != nullptr && token->ShouldStop()) return false;
+    const PlanQuery& entry = plan_.queries[q];
+    if (std::binary_search(entry.set_phase_ops.begin(),
+                           entry.set_phase_ops.end(), id)) {
+      return true;
+    }
+    return !CameOutEmpty(entry.candidate_op) &&
+           !CameOutEmpty(entry.reference_op);
+  }
+
+  bool CameOutEmpty(std::size_t id) const {
+    return runtimes_[id].executed && runtimes_[id].rows == 0;
+  }
+
+  /// The status of a query whose remaining ops were skipped without a
+  /// failure: only its token can have retired it.
+  static Status StopStatus(const CancellationToken* token) {
+    NETOUT_CHECK(token != nullptr && token->ShouldStop());
+    return token->ToStatus();
+  }
+
+  const PhysicalPlan& plan_;
+  std::span<const CancellationToken* const> tokens_;
+  std::span<BatchOutcome> outcomes_;
+  std::vector<OpOutput> slots_;
+  std::vector<PlanOpRuntime> runtimes_;
+  std::vector<std::size_t> first_consumer_;
+  std::vector<std::size_t> consumers_;
+};
+
+}  // namespace
+
+void RunPhysicalPlan(const PhysicalPlan& plan,
+                     std::span<const CancellationToken* const> tokens,
+                     StopPolicy stop_policy, ThreadPool* pool,
+                     std::span<Executor* const> executors,
+                     std::span<BatchOutcome> outcomes) {
+  NETOUT_CHECK(tokens.size() == plan.queries.size());
+  NETOUT_CHECK(outcomes.size() == plan.queries.size());
+  NETOUT_CHECK(!executors.empty());
+  PlanRun run(plan, tokens, outcomes);
+  if (pool == nullptr) {
+    run.RunInline(*executors[0]);
+  } else {
+    NETOUT_CHECK(executors.size() > pool->num_threads());
+    run.RunPooled(*pool, executors);
+  }
+  run.Resolve(stop_policy, *executors[0]);
 }
 
 }  // namespace netout

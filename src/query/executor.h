@@ -9,7 +9,6 @@
 
 #include "common/cancellation.h"
 #include "common/result.h"
-#include "common/stopwatch.h"
 #include "graph/hin.h"
 #include "metapath/evaluator.h"
 #include "metapath/matrix.h"
@@ -57,11 +56,10 @@ struct StageTimings {
 
 /// Per-query execution statistics, matching the Figure 4 breakdown:
 /// eval.not_indexed (traversal materialization), eval.indexed (index
-/// lookups), scoring (outlierness calculation), plus the plan-level
-/// reuse counters that quantify common-subpath elimination.
+/// lookups), stages.score_nanos (outlierness calculation), plus the
+/// plan-level reuse counters that quantify common-subpath elimination.
 struct QueryExecStats {
   EvalStats eval;
-  TimeAccumulator scoring;
   StageTimings stages;
   std::int64_t total_nanos = 0;
   std::size_t candidate_count = 0;
@@ -80,7 +78,6 @@ struct QueryExecStats {
 
   void MergeFrom(const QueryExecStats& other) {
     eval.MergeFrom(other.eval);
-    scoring.AddNanos(other.scoring.TotalNanos());
     stages.MergeFrom(other.stages);
     total_nanos += other.total_nanos;
     candidate_count += other.candidate_count;
@@ -183,6 +180,13 @@ struct PlanOpRuntime {
   EvalStats eval;
 };
 
+/// Outcome of one query of a plan run: either `status` is non-OK or
+/// `result` is valid. A solo query is a batch of one.
+struct BatchOutcome {
+  Status status;
+  QueryResult result;
+};
+
 /// Executes resolved query plans against one network, optionally through
 /// a pre-materialization index, by lowering them to a PhysicalPlan
 /// (Planner) and interpreting the operator DAG. Owns traversal
@@ -194,11 +198,12 @@ class Executor {
            const ExecOptions& options = {});
   ~Executor();
 
-  /// Runs a full outlier query: plan, execute, observe. The overload
-  /// taking `cancel` (borrowed, may be null) chains an external cancel
-  /// handle into the run's own control token — which also arms
-  /// options.timeout_millis / memory_budget_bytes — so a caller-held
-  /// token can stop the query from another thread.
+  /// Runs a full outlier query: plan it alone, then RunPhysicalPlan it
+  /// inline on this executor. The overload taking `cancel` (borrowed,
+  /// may be null) chains an external cancel handle into the run's own
+  /// control token — which also arms options.timeout_millis /
+  /// memory_budget_bytes — so a caller-held token can stop the query
+  /// from another thread.
   Result<QueryResult> Run(const QueryPlan& plan);
   Result<QueryResult> Run(const QueryPlan& plan,
                           const CancellationToken* cancel);
@@ -206,9 +211,9 @@ class Executor {
   /// Installs (or clears, with nullptr) the cooperative stop token
   /// polled per operator, per materialized vector, and inside the
   /// evaluators' chunk loops; also the budget sink for ChargeBytes.
-  /// Run() manages this itself; BatchRunner's merged mode installs a
-  /// per-query token around individual ExecuteOp calls. `token` is
-  /// borrowed and must outlive its installation.
+  /// RunPhysicalPlan installs a query's token around each operator that
+  /// query owns alone. `token` is borrowed and must outlive its
+  /// installation.
   void SetStopToken(const CancellationToken* token);
 
   /// Evaluates just a set expression (used for SPM initialization-query
@@ -222,22 +227,16 @@ class Executor {
   /// attached).
   std::size_t MaterializeWorkers(std::size_t count) const;
 
-  /// φ of every vertex of `members` under `path`, in order. Shards
-  /// contiguously across worker_evaluators_ when MaterializeWorkers says
-  /// so; per-shard stats and errors merge in shard order after the group
-  /// waits, so output and first-error choice are thread-count-invariant.
-  /// Public for the progressive strategy, which materializes candidate
-  /// batches outside a physical plan.
+  /// φ of every vertex of `members` under `path`, in order (see
+  /// MapSharded for the sharding). Public for the progressive strategy,
+  /// which materializes candidate batches outside a physical plan.
   Result<std::vector<SparseVector>> MaterializeVectors(
       TypeId subject_type, const MetaPath& path,
       const std::vector<LocalId>& members, EvalStats* stats);
 
   // --- Plan interpretation -----------------------------------------
-  // The DAG-level API BatchRunner's merged mode drives directly: one
-  // slot vector shared across queries, ops dispatched as their inputs
-  // complete (each on some executor with num_threads == 1), results
-  // assembled per query afterwards. Run() is exactly this loop over a
-  // single-query plan.
+  // The per-operator API RunPhysicalPlan drives: one slot vector shared
+  // by every query of the plan, results assembled per query afterwards.
 
   /// Executes op `id` of `plan` into slots[id]. Inputs must already be
   /// populated (slots[input].has_value). `runtime` (required) receives
@@ -256,20 +255,18 @@ class Executor {
                              std::span<const PlanOpRuntime> runtimes) const;
 
  private:
-  Result<QueryResult> RunPlanned(const PhysicalPlan& plan,
-                                 std::size_t query_index,
-                                 const Stopwatch& total_watch);
-  /// Extends already-materialized parent vectors along a suffix path
-  /// (shared-prefix reuse), sharded like MaterializeVectors.
-  Result<std::vector<SparseVector>> ExtendVectors(
-      const MetaPath& suffix, const std::vector<SparseVector>& parents,
-      EvalStats* stats);
-  /// Multiplies every parent vector through a materialized relation
-  /// (the cost-based split's apply step), sharded like
-  /// MaterializeVectors with one dense accumulator per shard.
-  Result<std::vector<SparseVector>> ApplyMatrixVectors(
-      const RelationMatrix& matrix,
-      const std::vector<SparseVector>& parents);
+  /// out[i] = produce(i, evaluator, acc, stats) for i in [0, count):
+  /// serial on evaluator_, or one contiguous shard per worker evaluator
+  /// when MaterializeWorkers says so, each shard with its own dense
+  /// accumulator and stats. Shard stats merge in shard order after the
+  /// group waits, a real error wins over a stop status, and the token
+  /// is re-checked after the wait, so output, stats and the surfaced
+  /// error are thread-count-invariant. Every produced vector is charged
+  /// to the stop token's byte budget once.
+  template <typename Produce>
+  Result<std::vector<SparseVector>> MapSharded(std::size_t count,
+                                               EvalStats* stats,
+                                               const Produce& produce);
 
   HinPtr hin_;
   const MetaPathIndex* index_;
@@ -281,6 +278,36 @@ class Executor {
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<NeighborVectorEvaluator>> worker_evaluators_;
 };
+
+/// The one way a PhysicalPlan of full queries (Planner::AddQuery)
+/// executes: a solo Executor::Run, every BatchRunner and daemon batch.
+/// `tokens[q]` is query q's control token (null = no limits);
+/// `outcomes[q]`, default-constructed on entry, receives its outcome.
+///
+/// Without a `pool`, ops run in id order (planner ids are topological)
+/// on executors[0], on the calling thread. With a pool, an op is
+/// submitted once its last input completes and runs on a free executor;
+/// the waiting thread helps, so there must be pool->num_threads() + 1
+/// executors, each built with num_threads == 1.
+///
+/// Skip rule, shared by both modes: an op runs only while some query
+/// consuming it is live. A query stops being live when its token stops
+/// or one of its ops fails; its feature ops (everything outside its set
+/// phase) are also skipped once its candidate or reference set comes
+/// out empty. An op with one consuming query runs under that query's
+/// token; a shared op runs token-free, so one query's stop never
+/// corrupts output another query still needs.
+///
+/// Each query resolves to the first of: its first failure; a set phase
+/// cut short by its token; an empty result (no candidates);
+/// kFailedPrecondition (no references); a feature pipeline cut short by
+/// its token. A stop resolves per `stop_policy`: kError reports it,
+/// kPartial assembles the completed operators into a degraded result.
+void RunPhysicalPlan(const PhysicalPlan& plan,
+                     std::span<const CancellationToken* const> tokens,
+                     StopPolicy stop_policy, ThreadPool* pool,
+                     std::span<Executor* const> executors,
+                     std::span<BatchOutcome> outcomes);
 
 }  // namespace netout
 

@@ -166,11 +166,12 @@ std::string FormatWhere(const Hin& hin, const ResolvedWhere& where) {
   return "?";
 }
 
-std::vector<PlanOpInfo> DescribePhysicalPlan(const Hin& hin,
-                                             const PhysicalPlan& plan) {
+std::vector<PlanOpInfo> DescribePhysicalPlan(
+    const Hin& hin, const PhysicalPlan& plan,
+    std::span<const std::size_t> ids) {
   std::vector<PlanOpInfo> infos;
-  infos.reserve(plan.ops.size());
-  for (std::size_t id = 0; id < plan.ops.size(); ++id) {
+  infos.reserve(ids.size());
+  for (const std::size_t id : ids) {
     const PhysicalOp& op = plan.ops[id];
     PlanOpInfo info;
     info.id = id;

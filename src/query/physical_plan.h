@@ -176,10 +176,12 @@ struct PlanOpInfo {
 /// EXPLAIN PLAN and Engine::DescribePlan).
 std::string FormatWhere(const Hin& hin, const ResolvedWhere& where);
 
-/// Static per-op descriptions of `plan` (runtime fields zeroed), in op
-/// order.
-std::vector<PlanOpInfo> DescribePhysicalPlan(const Hin& hin,
-                                             const PhysicalPlan& plan);
+/// Static descriptions of ops `ids` of `plan` (runtime fields zeroed),
+/// aligned with `ids` — one query's PlanQuery::ops, so describing every
+/// query of a batch costs the batch's size, not its square.
+std::vector<PlanOpInfo> DescribePhysicalPlan(
+    const Hin& hin, const PhysicalPlan& plan,
+    std::span<const std::size_t> ids);
 
 /// Renders op infos as an indented operator tree. Roots are the ops no
 /// other op in `infos` consumes; a shared op's subtree is printed once

@@ -266,12 +266,7 @@ Result<QueryResult> ProgressiveExecutor::Run(
       estimates[i] = estimate * extrapolate;
       batch_stats[i].Add(batch_estimate * batch_extrapolate);
     }
-    // One clock feeds both views of scoring time (the stage bucket and
-    // the EvalStats-style accumulator) so they agree exactly; a second
-    // ScopedTimer here double-counted the same span into `scoring`.
-    const std::int64_t score_nanos = score_watch.ElapsedNanos();
-    result.stats.stages.score_nanos += score_nanos;
-    result.stats.scoring.AddNanos(score_nanos);
+    result.stats.stages.score_nanos += score_watch.ElapsedNanos();
 
     // Build and publish the snapshot.
     Stopwatch topk_watch;

@@ -50,7 +50,7 @@ std::string QueryResultToJson(const Hin& hin, const QueryResult& result,
   json.Key("indexed_ms");
   json.Number(result.stats.eval.indexed.TotalMillis());
   json.Key("scoring_ms");
-  json.Number(result.stats.scoring.TotalMillis());
+  json.Number(static_cast<double>(result.stats.stages.score_nanos) / 1e6);
   json.Key("index_hits");
   json.Uint(result.stats.eval.index_hits);
   json.Key("index_misses");

@@ -253,10 +253,8 @@ struct Server::Impl {
     engine_options.exec.stop_policy = StopPolicy::kPartial;
     engine_options.exec.timeout_millis = -1;
     engine_options.exec.memory_budget_bytes = 0;
-    BatchOptions batch_options;
-    batch_options.merge_plans = options.merge_batches;
     runner = std::make_unique<BatchRunner>(CurrentSnapshot(), engine_options,
-                                           options.num_threads, batch_options);
+                                           options.num_threads);
 
     int pipe_fds[2];
     if (::pipe2(pipe_fds, O_CLOEXEC | O_NONBLOCK) != 0) {
@@ -1224,8 +1222,6 @@ struct Server::Impl {
     json.Uint(bound_port);
     json.Key("num_threads");
     json.Uint(options.num_threads);
-    json.Key("merge_batches");
-    json.Bool(options.merge_batches);
     json.Key("max_sessions");
     json.Uint(options.max_sessions);
     json.Key("max_line_bytes");

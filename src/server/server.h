@@ -50,12 +50,10 @@ struct ServerOptions {
   /// Request line / JSON caps (see ProtocolLimits).
   ProtocolLimits limits;
 
-  /// BatchRunner worker threads executing queries.
+  /// BatchRunner worker threads executing queries. Each dispatched
+  /// batch is lowered into one shared physical plan (cross-request CSE
+  /// + shared prefixes); 1 runs it inline on the dispatcher thread.
   std::size_t num_threads = 2;
-  /// Lower each dispatched batch into one merged physical plan
-  /// (cross-request CSE + shared prefixes); per-request answers are
-  /// bitwise identical either way.
-  bool merge_batches = true;
 
   /// Default & ceiling for the per-request deadline: a request's
   /// timeout_ms may lower it but never raise it past this. < 0 = no

@@ -1,9 +1,11 @@
 #include "query/batch.h"
 
+#include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/sync.h"
 #include "datagen/biblio_gen.h"
 #include "datagen/workload.h"
 #include "index/cached_index.h"
@@ -157,6 +159,54 @@ TEST_F(BatchFixture, NonConcurrentIndexIsRejected) {
   const auto accepted = serial.Run(queries);
   ASSERT_EQ(accepted.size(), 1u);
   EXPECT_TRUE(accepted[0].status.ok());
+}
+
+// Regression: a 1-worker runner used to build a pool of one, and
+// TaskGroup::Wait help-drains the group's own tasks on the caller, so
+// the worker and the waiting thread ran ops at the same time — sharing
+// an index that NonConcurrentIndexIsRejected lets through because only
+// one worker was asked for. A 1-worker runner now runs the plan inline:
+// every Lookup comes from the calling thread.
+TEST_F(BatchFixture, SingleWorkerRunsOnTheCallingThreadOnly) {
+  class ThreadRecordingIndex : public MetaPathIndex {
+   public:
+    std::optional<IndexHit> Lookup(const TwoStepKey&,
+                                   LocalId) const override {
+      MutexLock lock(mutex_);
+      threads_.insert(std::this_thread::get_id());
+      return std::nullopt;
+    }
+    std::size_t MemoryBytes() const override { return 0; }
+    bool SupportsConcurrentUse() const override { return false; }
+
+    std::set<std::thread::id> threads() const {
+      MutexLock lock(mutex_);
+      return threads_;
+    }
+
+   private:
+    mutable Mutex mutex_;
+    mutable std::set<std::thread::id> threads_ NETOUT_GUARDED_BY(mutex_);
+  };
+  WorkloadConfig workload;
+  workload.num_queries = 24;
+  workload.seed = 21;
+  const auto queries = GenerateWorkload(*dataset_->hin, "author",
+                                        QueryTemplate::kQ1, workload)
+                           .value();
+  ThreadRecordingIndex index;
+  EngineOptions options;
+  options.index = &index;
+  BatchRunner runner(dataset_->hin, options, 1);
+  const auto outcomes = runner.Run(queries);
+  ASSERT_EQ(outcomes.size(), queries.size());
+  for (const BatchOutcome& outcome : outcomes) {
+    ASSERT_TRUE(outcome.status.ok());
+  }
+  const std::set<std::thread::id> threads = index.threads();
+  ASSERT_FALSE(threads.empty());
+  EXPECT_EQ(threads.size(), 1u);
+  EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
 }
 
 // The sharded CachedIndex is concurrent-safe, so sharing one across

@@ -274,7 +274,7 @@ TEST_F(ExecutorFixture, StatsArePopulated) {
   EXPECT_GT(result.stats.total_nanos, 0);
   EXPECT_GT(result.stats.eval.not_indexed.TotalNanos(), 0);
   EXPECT_EQ(result.stats.eval.indexed.TotalNanos(), 0);  // no index
-  EXPECT_GE(result.stats.scoring.TotalNanos(), 0);
+  EXPECT_GE(result.stats.stages.score_nanos, 0);
 }
 
 TEST_F(ExecutorFixture, EvaluateSetReturnsSortedRefs) {

@@ -156,7 +156,7 @@ TEST_F(LimitsFixture, BatchCancelTargetsOnlyOneQuery) {
   EXPECT_FALSE(outcomes[2].result.outliers.empty());
 }
 
-// In a merged DAG a stopped query must neither alter nor delay the
+// In a batch's shared DAG a stopped query must neither alter nor delay the
 // others: the unaffected query's outliers match its solo execution
 // bitwise.
 TEST_F(LimitsFixture, MergedBatchStopIsIsolated) {
@@ -170,9 +170,7 @@ TEST_F(LimitsFixture, MergedBatchStopIsIsolated) {
       {StarQuery(0), &cancel_first},
       {StarQuery(1), nullptr},
   };
-  BatchOptions batch_options;
-  batch_options.merge_plans = true;
-  BatchRunner runner(dataset_->hin, EngineOptions{}, 2, batch_options);
+  BatchRunner runner(dataset_->hin, EngineOptions{}, 2);
   const auto outcomes = runner.Run(queries);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0].status.code(), StatusCode::kCancelled);
@@ -186,7 +184,7 @@ TEST_F(LimitsFixture, MergedBatchStopIsIsolated) {
   }
 }
 
-// Under kPartial a merged batch degrades the stopped query instead of
+// Under kPartial a batch degrades the stopped query instead of
 // failing it.
 TEST_F(LimitsFixture, MergedBatchDegradesStoppedQueryUnderPartialPolicy) {
   CancellationToken cancel_first;
@@ -197,9 +195,7 @@ TEST_F(LimitsFixture, MergedBatchDegradesStoppedQueryUnderPartialPolicy) {
   };
   EngineOptions engine_options;
   engine_options.exec.stop_policy = StopPolicy::kPartial;
-  BatchOptions batch_options;
-  batch_options.merge_plans = true;
-  BatchRunner runner(dataset_->hin, engine_options, 2, batch_options);
+  BatchRunner runner(dataset_->hin, engine_options, 2);
   const auto outcomes = runner.Run(queries);
   ASSERT_EQ(outcomes.size(), 2u);
   ASSERT_TRUE(outcomes[0].status.ok());

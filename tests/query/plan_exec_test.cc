@@ -219,6 +219,11 @@ TEST_F(PlanExecFixture, ReuseCountersAppearInPlanOps) {
   EXPECT_EQ(unshared_mats, 2u);
 }
 
+// Every query of a batch runs in one shared plan; "unmerged" is each
+// query on its own through Engine::Execute. Outcomes must agree query
+// by query — status code, and top-k bitwise — at every runner width,
+// with and without an index, including the parse-error, empty-candidate
+// and empty-reference cases.
 TEST_F(PlanExecFixture, MergedBatchMatchesUnmergedAndIsolatesErrors) {
   const std::vector<std::string> queries = {
       R"(FIND OUTLIERS FROM author{"Hub"}.paper.author
@@ -232,38 +237,51 @@ TEST_F(PlanExecFixture, MergedBatchMatchesUnmergedAndIsolatesErrors) {
          COMPARED TO author{"Rex"}.paper.author
            EXCEPT author
          JUDGED BY author.paper.venue TOP 5;)",
+      R"(FIND OUTLIERS FROM author AS A WHERE COUNT(A.paper) > 3
+         JUDGED BY author.paper.venue.paper.author TOP 6;)",
   };
-  EngineOptions options;
-  BatchRunner unmerged(hin_, options, 2);
-  BatchOptions merge;
-  merge.merge_plans = true;
-  BatchRunner merged(hin_, options, 2, merge);
-
-  const std::vector<BatchOutcome> expected = unmerged.Run(queries);
-  const std::vector<BatchOutcome> actual = merged.Run(queries);
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(expected[i].status.ok(), actual[i].status.ok())
-        << "query " << i;
-    if (!expected[i].status.ok()) {
-      EXPECT_EQ(expected[i].status.code(), actual[i].status.code())
-          << "query " << i;
-      continue;
+  const auto pm = PmIndex::Build(*hin_).value();
+  CachedIndex cache;
+  struct Mode {
+    const char* name;
+    const MetaPathIndex* index;
+  };
+  const Mode modes[] = {
+      {"none", nullptr}, {"pm", pm.get()}, {"cache", &cache}};
+  for (const Mode& mode : modes) {
+    EngineOptions options;
+    options.index = mode.index;
+    Engine solo(hin_, options);
+    std::vector<Result<QueryResult>> expected;
+    for (const std::string& query : queries) {
+      expected.push_back(solo.Execute(query));
     }
-    ExpectBitwiseEqual(expected[i].result, actual[i].result,
-                       "merged query " + std::to_string(i));
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      const std::string context = std::string(mode.name) + " threads=" +
+                                  std::to_string(threads) + " query ";
+      BatchRunner runner(hin_, options, threads);
+      const std::vector<BatchOutcome> actual = runner.Run(queries);
+      ASSERT_EQ(actual.size(), queries.size());
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        ASSERT_EQ(expected[i].status().code(), actual[i].status.code())
+            << context << i;
+        if (!expected[i].ok()) continue;
+        ExpectBitwiseEqual(expected[i].value(), actual[i].result,
+                           context + std::to_string(i));
+      }
+      // Query 2 failed to parse, 4 has an empty reference set; both
+      // isolated. Query 3's candidate set is empty: a successful empty
+      // result.
+      EXPECT_EQ(actual[2].status.code(), StatusCode::kParseError);
+      EXPECT_EQ(actual[4].status.code(), StatusCode::kFailedPrecondition);
+      EXPECT_TRUE(actual[3].status.ok());
+      EXPECT_TRUE(actual[3].result.outliers.empty());
+      // Cross-query sharing is observable: the second query's venue
+      // feature was materialized by the first, so its stats report
+      // reused vectors.
+      EXPECT_GT(actual[1].result.stats.vectors_reused, 0u) << context;
+    }
   }
-  // Query 2 failed to parse, 4 has an empty reference set; both isolated.
-  EXPECT_FALSE(actual[2].status.ok());
-  EXPECT_FALSE(actual[4].status.ok());
-  EXPECT_EQ(actual[4].status.code(), StatusCode::kFailedPrecondition);
-  // Query 3's candidate set is empty: a successful empty result, exactly
-  // like unmerged execution.
-  EXPECT_TRUE(actual[3].status.ok());
-  EXPECT_TRUE(actual[3].result.outliers.empty());
-  // Cross-query sharing is observable: the second query's venue feature
-  // was materialized by the first, so its stats report reused vectors.
-  EXPECT_GT(actual[1].result.stats.vectors_reused, 0u);
 }
 
 TEST_F(PlanExecFixture, MergedBatchIdenticalAcrossThreadCounts) {
@@ -275,12 +293,10 @@ TEST_F(PlanExecFixture, MergedBatchIdenticalAcrossThreadCounts) {
         std::to_string(3 + i) + ";");
   }
   EngineOptions options;
-  BatchOptions merge;
-  merge.merge_plans = true;
-  BatchRunner serial(hin_, options, 1, merge);
+  BatchRunner serial(hin_, options, 1);
   const std::vector<BatchOutcome> expected = serial.Run(queries);
   for (const std::size_t threads : {2u, 4u}) {
-    BatchRunner runner(hin_, options, threads, merge);
+    BatchRunner runner(hin_, options, threads);
     const std::vector<BatchOutcome> actual = runner.Run(queries);
     ASSERT_EQ(expected.size(), actual.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {

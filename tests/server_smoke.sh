@@ -80,7 +80,7 @@ if grep -q '"received":0' "$WORK_DIR/stats.log"; then
 fi
 "$TOOLS_DIR/netout_client" --port="$PORT" --op=config \
     > "$WORK_DIR/config.log"
-grep -q '"merge_batches":true' "$WORK_DIR/config.log"
+grep -q '"num_threads":2' "$WORK_DIR/config.log"
 
 # Clean drain over the wire; the process must exit by itself.
 "$TOOLS_DIR/netout_client" --port="$PORT" --op=shutdown \

@@ -5,33 +5,31 @@
 //                [--spm=graph.spmidx] [--cache[=MB]] [--threads=4]
 //   netout_query GRAPH.hin --query='...' --explain=VERTEX
 //   netout_query GRAPH.hin --query='...' --explain-plan
-//   netout_query GRAPH.hin --file=queries.txt --merge
 //   netout_query GRAPH.hin --query='...' --progressive [--batches=10]
 //   netout_query GRAPH.hin --query='...' --json
 //   netout_query GRAPH.hin --query='...' --timeout-ms=500
 //                [--memory-budget-mb=256] [--stop-policy=partial|error]
 //
-// With --file, queries (one per line) run through the parallel batch
-// driver; with --query, --threads instead enables intra-query
-// parallelism (ExecOptions::num_threads). --pm / --spm attach a
-// pre-built index; --cache[=MB] attaches the dynamic LRU cache
-// (default 64 MB), optionally wrapping --pm/--spm as a second tier.
-// The cache is sharded and concurrency-safe, so it combines freely
-// with --threads in both modes. --explain prints why the named
-// candidate scores the way it does; --explain-plan prints the physical
-// operator tree (after running the query, annotated with per-operator
-// wall clock, row counts, index mode and reuse); --merge lowers the
-// whole --file workload into one shared physical plan so duplicate
-// sets, conditions and feature prefixes are computed once;
-// --progressive streams approximate top-k snapshots with confidence
-// while executing.
+// With --file, queries (one per line) run through the batch driver as
+// one shared physical plan, so duplicate sets, conditions and feature
+// prefixes are computed once, on --threads workers; with --query,
+// --threads instead enables intra-query parallelism
+// (ExecOptions::num_threads). --pm / --spm attach a pre-built index;
+// --cache[=MB] attaches the dynamic LRU cache (default 64 MB),
+// optionally wrapping --pm/--spm as a second tier. The cache is sharded
+// and concurrency-safe, so it combines freely with --threads in both
+// modes. --explain prints why the named candidate scores the way it
+// does; --explain-plan prints the physical operator tree (after running
+// the query, annotated with per-operator wall clock, row counts, index
+// mode and reuse); --progressive streams approximate top-k snapshots
+// with confidence while executing.
 //
 // --timeout-ms arms a per-query wall-clock deadline and
 // --memory-budget-mb a per-query materialization byte budget (both
-// apply per query in --file mode too, including --merge, where a query
-// that trips never disturbs the others). What happens on a trip is
-// --stop-policy: 'partial' (default) prints a best-effort result marked
-// DEGRADED with the reason, 'error' fails the query.
+// apply per query in --file mode too, where a query that trips never
+// disturbs the others). What happens on a trip is --stop-policy:
+// 'partial' (default) prints a best-effort result marked DEGRADED with
+// the reason, 'error' fails the query.
 
 #include <cstdio>
 #include <sstream>
@@ -104,16 +102,15 @@ int main(int argc, char** argv) {
   constexpr const char* kUsage =
       "usage: netout_query GRAPH.hin|SHARD_DIR --query='...' | "
       "--file=FILE [--pm=IDX | --spm=IDX] [--cache[=MB]] "
-      "[--threads=N] [--merge] [--explain=VERTEX] "
+      "[--threads=N] [--explain=VERTEX] "
       "[--explain-plan] [--progressive [--batches=N]] [--json] "
       "[--timeout-ms=N] [--memory-budget-mb=N] "
       "[--stop-policy=partial|error] [--graph-budget-mb=N]\n";
   const Args args = ParseArgs(
       argc, argv,
-      {"query", "file", "pm", "spm", "cache", "threads", "merge",
-       "explain", "explain-plan", "progressive", "batches", "json",
-       "timeout-ms", "memory-budget-mb", "stop-policy",
-       "graph-budget-mb"},
+      {"query", "file", "pm", "spm", "cache", "threads", "explain",
+       "explain-plan", "progressive", "batches", "json", "timeout-ms",
+       "memory-budget-mb", "stop-policy", "graph-budget-mb"},
       kUsage);
   if (args.positional.size() != 1 ||
       (!args.Has("query") && !args.Has("file"))) {
@@ -177,9 +174,7 @@ int main(int argc, char** argv) {
     while (std::getline(stream, line)) {
       if (!StrTrim(line).empty()) queries.push_back(line);
     }
-    BatchOptions batch_options;
-    batch_options.merge_plans = args.Has("merge");
-    BatchRunner runner(hin, engine_options, threads, batch_options);
+    BatchRunner runner(hin, engine_options, threads);
     const auto outcomes = runner.Run(queries);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       std::printf("\n-- query %zu: %s\n", i + 1, queries[i].c_str());

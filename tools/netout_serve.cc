@@ -2,7 +2,7 @@
 //
 //   netout_serve GRAPH.hin|SHARD_DIR [--pm=IDX | --spm=IDX]
 //                [--cache[=MB]] [--host=127.0.0.1] [--port=0]
-//                [--threads=2] [--no-merge] [--timeout-ms=N]
+//                [--threads=2] [--timeout-ms=N]
 //                [--memory-budget-mb=N] [--graph-budget-mb=N]
 //                [--max-sessions=N] [--shed-backlog=N]
 //                [--shed-timeout-ms=N] [--max-backlog=N]
@@ -14,8 +14,8 @@
 // drain: SIGINT/SIGTERM, or a wire "shutdown" request. --timeout-ms and
 // --memory-budget-mb are server-wide admission-control ceilings — a
 // request's own timeout_ms / memory_budget_mb may lower them, never
-// raise them. --no-merge disables cross-request plan merging (per-query
-// answers are identical either way).
+// raise them. Each dispatched batch of requests runs as one shared
+// physical plan (cross-request plan merging).
 //
 // Signals: SIGPIPE is ignored process-wide (a peer vanishing mid-write
 // must surface as an EPIPE on that one session, not kill the daemon);
@@ -66,14 +66,14 @@ int main(int argc, char** argv) {
   constexpr const char* kUsage =
       "usage: netout_serve GRAPH.hin|SHARD_DIR [--pm=IDX | --spm=IDX] "
       "[--cache[=MB]] [--host=ADDR] [--port=N] [--threads=N] "
-      "[--no-merge] [--timeout-ms=N] [--memory-budget-mb=N] "
+      "[--timeout-ms=N] [--memory-budget-mb=N] "
       "[--graph-budget-mb=N] [--max-sessions=N] [--shed-backlog=N] "
       "[--shed-timeout-ms=N] [--max-backlog=N] [--no-remote-shutdown] "
       "[--read-only]\n";
   const Args args = ParseArgs(
       argc, argv,
-      {"pm", "spm", "cache", "host", "port", "threads", "no-merge",
-       "timeout-ms", "memory-budget-mb", "graph-budget-mb", "max-sessions",
+      {"pm", "spm", "cache", "host", "port", "threads", "timeout-ms",
+       "memory-budget-mb", "graph-budget-mb", "max-sessions",
        "shed-backlog", "shed-timeout-ms", "max-backlog",
        "no-remote-shutdown", "read-only"},
       kUsage);
@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
   options.host = args.Get("host", "127.0.0.1");
   options.port = static_cast<std::uint16_t>(args.GetInt("port", 0));
   options.num_threads = static_cast<std::size_t>(args.GetInt("threads", 2));
-  options.merge_batches = !args.Has("no-merge");
   options.default_timeout_millis = args.GetInt("timeout-ms", -1);
   const std::int64_t budget_mb = args.GetInt("memory-budget-mb", 0);
   if (budget_mb > 0) {

@@ -1,50 +1,77 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <system_error>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace netout {
 
-std::string JsonEscape(std::string_view value) {
-  std::string out = "\"";
-  for (unsigned char c : value) {
+namespace {
+
+/// Appends `value` as a JSON string literal, quotes included. Runs of
+/// bytes that need no escape are appended in one piece; UTF-8 passes
+/// through unchanged.
+void AppendEscaped(std::string* out, std::string_view value) {
+  out->push_back('"');
+  std::size_t run_start = 0;
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    const auto c = static_cast<unsigned char>(value[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(value, run_start, i - run_start);
+    run_start = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        out->append("\\\"");
         break;
       case '\\':
-        out += "\\\\";
+        out->append("\\\\");
         break;
       case '\b':
-        out += "\\b";
+        out->append("\\b");
         break;
       case '\f':
-        out += "\\f";
+        out->append("\\f");
         break;
       case '\n':
-        out += "\\n";
+        out->append("\\n");
         break;
       case '\r':
-        out += "\\r";
+        out->append("\\r");
         break;
       case '\t':
-        out += "\\t";
+        out->append("\\t");
         break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
-  out += "\"";
+  out->append(value, run_start, value.size() - run_start);
+  out->push_back('"');
+}
+
+/// Appends std::to_chars' rendering of `value`; `args` select the format.
+template <typename T, typename... Args>
+void AppendChars(std::string* out, T value, Args... args) {
+  char buf[32];
+  const std::to_chars_result result =
+      std::to_chars(buf, buf + sizeof(buf), value, args...);
+  NETOUT_CHECK(result.ec == std::errc()) << "to_chars overflow";
+  out->append(buf, result.ptr);
+}
+
+}  // namespace
+
+std::string JsonEscape(std::string_view value) {
+  std::string out;
+  AppendEscaped(&out, value);
   return out;
 }
 
@@ -109,14 +136,14 @@ void JsonWriter::EndArray() {
 
 void JsonWriter::Key(std::string_view key) {
   Separator();
-  Raw(JsonEscape(key));
+  AppendEscaped(&out_, key);
   Raw(pretty_ ? ": " : ":");
   pending_key_ = true;
 }
 
 void JsonWriter::String(std::string_view value) {
   Separator();
-  Raw(JsonEscape(value));
+  AppendEscaped(&out_, value);
 }
 
 void JsonWriter::Number(double value) {
@@ -126,19 +153,19 @@ void JsonWriter::Number(double value) {
     Raw("null");
     return;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  Raw(buf);
+  // to_chars with chars_format::general and a precision is specified
+  // as printf's "%.12g" in the C locale, without printf's overhead.
+  AppendChars(&out_, value, std::chars_format::general, 12);
 }
 
 void JsonWriter::Int(std::int64_t value) {
   Separator();
-  Raw(std::to_string(value));
+  AppendChars(&out_, value);
 }
 
 void JsonWriter::Uint(std::uint64_t value) {
   Separator();
-  Raw(std::to_string(value));
+  AppendChars(&out_, value);
 }
 
 void JsonWriter::Bool(bool value) {

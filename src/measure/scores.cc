@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "measure/connectivity.h"
 #include "measure/lof.h"
+#include "metapath/kernels.h"
 
 namespace netout {
 
@@ -59,24 +60,64 @@ std::vector<SparseVecView> AsViews(std::span<const SparseVector> vectors) {
   return views;
 }
 
-SparseVector SumVectors(std::span<const SparseVecView> vectors) {
-  // Dense accumulation over the index range: total nnz is typically far
-  // larger than the distinct count, so only the touched slots are sorted
-  // at the end (inside Harvest). indices.back() is the max index only
-  // for sorted views — an unsorted (e.g. hand-built or deserialized)
-  // vector would silently under-size the accumulator and abort on Add.
-  LocalId max_index = 0;
-  bool any = false;
+namespace {
+
+/// One past the largest index of any of `vectors` (0 when all are
+/// empty): the dimension their sum needs. indices.back() is the max
+/// index only for sorted views — an unsorted (e.g. hand-built or
+/// deserialized) vector would silently under-size the sum and abort on
+/// the add.
+std::size_t SumDimension(std::span<const SparseVecView> vectors) {
+  std::size_t dimension = 0;
   for (const SparseVecView& vec : vectors) {
     vec.DebugCheckSorted();
     if (!vec.indices.empty()) {
-      any = true;
-      max_index = std::max(max_index, vec.indices.back());
+      dimension = std::max(dimension,
+                           static_cast<std::size_t>(vec.indices.back()) + 1);
     }
   }
-  if (!any) return SparseVector();
+  return dimension;
+}
+
+/// Σ_j φ(vj) as a dense array over [0, SumDimension): the slots
+/// SumVectors harvests, before the harvest. Slot values are the same
+/// adds in the same order as the accumulator's, so they are bitwise
+/// the harvested values; a slot the harvest drops holds ±0.0.
+std::vector<double> DenseSum(std::span<const SparseVecView> vectors) {
+  std::vector<double> dense(SumDimension(vectors), 0.0);
+  const KernelOps& kernels = ActiveKernels();
+  for (const SparseVecView& vec : vectors) {
+    kernels.add_span(vec.indices.data(), vec.values.data(),
+                     vec.indices.size(), 1.0, dense.data());
+  }
+  return dense;
+}
+
+/// Dot(cand, r) where r is DenseSum's array: the merge join's matched
+/// products are exactly the candidate entries whose slot is non-zero,
+/// added in the same ascending-index order, so the result is bitwise
+/// Dot(cand, SumVectors(...)) (DESIGN.md §10).
+double GatherDot(SparseVecView cand, std::span<const double> dense) {
+  double total = 0.0;
+  for (std::size_t k = 0; k < cand.indices.size(); ++k) {
+    const std::size_t index = cand.indices[k];
+    if (index >= dense.size()) break;
+    const double r = dense[index];
+    if (r != 0.0) total += cand.values[k] * r;
+  }
+  return total;
+}
+
+}  // namespace
+
+SparseVector SumVectors(std::span<const SparseVecView> vectors) {
+  // Dense accumulation over the index range: total nnz is typically far
+  // larger than the distinct count, so only the touched slots are sorted
+  // at the end (inside Harvest).
+  const std::size_t dimension = SumDimension(vectors);
+  if (dimension == 0) return SparseVector();
   DenseAccumulator acc;
-  acc.Resize(static_cast<std::size_t>(max_index) + 1);
+  acc.Resize(dimension);
   for (const SparseVecView& vec : vectors) {
     acc.AddSpan(vec.indices, vec.values, 1.0);
   }
@@ -116,15 +157,15 @@ std::vector<double> NetOutFactored(std::span<const SparseVecView> candidates,
                                    ThreadPool* pool,
                                    const CancellationToken* cancel) {
   // Equation (1): Ω(vi) = (φ(vi) · Σ_j φ(vj)) / ‖φ(vi)‖². The reference
-  // sum is computed once and shared read-only across workers.
-  const SparseVector reference_sum = SumVectors(references);
-  const SparseVecView sum_view = reference_sum.View();
+  // sum is computed once, kept dense, and shared read-only across
+  // workers; each candidate gathers from it in O(nnz(φ(vi))).
+  const std::vector<double> reference_sum = DenseSum(references);
   std::vector<double> scores(candidates.size(), 0.0);
   ForEachCandidate(pool, cancel, candidates.size(), [&](std::size_t i) {
     const SparseVecView& cand = candidates[i];
     const double visibility = Visibility(cand);
     if (visibility != 0.0) {
-      scores[i] = Dot(cand, sum_view) / visibility;
+      scores[i] = GatherDot(cand, reference_sum) / visibility;
     }
   });
   return scores;
@@ -277,10 +318,10 @@ Result<std::vector<double>> JointNetOutScores(
 
   // Equation (1) applied to the joint connectivity: one reference sum
   // per path, then weighted numerator/denominator per candidate.
-  std::vector<SparseVector> reference_sums;
+  std::vector<std::vector<double>> reference_sums;
   reference_sums.reserve(per_path_references.size());
   for (const auto& refs : per_path_references) {
-    reference_sums.push_back(SumVectors(refs));
+    reference_sums.push_back(DenseSum(refs));
   }
   std::vector<double> scores(num_candidates, 0.0);
   ForEachCandidate(pool, cancel, num_candidates, [&](std::size_t i) {
@@ -288,7 +329,7 @@ Result<std::vector<double>> JointNetOutScores(
     double joint_visibility = 0.0;
     for (std::size_t p = 0; p < per_path_candidates.size(); ++p) {
       const SparseVecView& phi = per_path_candidates[p][i];
-      numerator += weights[p] * Dot(phi, reference_sums[p].View());
+      numerator += weights[p] * GatherDot(phi, reference_sums[p]);
       joint_visibility += weights[p] * L2NormSquared(phi);
     }
     scores[i] =

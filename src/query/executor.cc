@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -737,42 +738,61 @@ class PlanRun {
       }
     }
 
+    // Work-first: a thread that completes an op's last input runs that
+    // consumer itself and submits only the other ops that became ready,
+    // and the caller runs the first root. A chain-shaped plan (a one-query
+    // batch) therefore never leaves the calling thread or wakes a worker.
     TaskGroup group(&pool);
-    std::function<void(std::size_t)> run_op = [&](std::size_t id) {
-      Executor* executor = nullptr;
-      {
-        MutexLock lock(mutex);
-        if (IsLive(id)) {
-          executor = free_executors.back();
-          free_executors.pop_back();
+    std::function<void(std::size_t)> run_from = [&](std::size_t id) {
+      for (;;) {
+        Executor* executor = nullptr;
+        {
+          MutexLock lock(mutex);
+          if (IsLive(id)) {
+            executor = free_executors.back();
+            free_executors.pop_back();
+          }
         }
-      }
-      if (executor != nullptr) {
-        PlanOpRuntime runtime;
-        const Status status = Execute(*executor, id, &runtime);
-        MutexLock lock(mutex);
-        runtimes_[id] = runtime;
-        if (!status.ok()) Fail(id, status);
-        free_executors.push_back(executor);
-      }
-      for (const std::size_t consumer : consumers[id]) {
-        if (indegree[consumer].fetch_sub(1, std::memory_order_acq_rel) ==
-            1) {
-          group.Submit([&run_op, consumer] { run_op(consumer); });
+        if (executor != nullptr) {
+          PlanOpRuntime runtime;
+          const Status status = Execute(*executor, id, &runtime);
+          MutexLock lock(mutex);
+          runtimes_[id] = runtime;
+          if (!status.ok()) Fail(id, status);
+          free_executors.push_back(executor);
         }
+        std::optional<std::size_t> next;
+        for (const std::size_t consumer : consumers[id]) {
+          if (indegree[consumer].fetch_sub(1, std::memory_order_acq_rel) !=
+              1) {
+            continue;
+          }
+          if (next.has_value()) {
+            group.Submit([&run_from, consumer] { run_from(consumer); });
+          } else {
+            next = consumer;
+          }
+        }
+        if (!next.has_value()) return;
+        id = *next;
       }
     };
     // Seed from the static inputs.empty() property, never the live atomic:
-    // a root submitted earlier in this loop may already be cascading on a
+    // a root started earlier in this loop may already be cascading on a
     // worker, driving downstream indegrees to zero before the scan reaches
-    // them -- reading the counter here would submit those ops a second
+    // them -- reading the counter here would start those ops a second
     // time. Input-free ops appear in no consumers list, so the static test
-    // and the final-decrement submit partition the DAG exactly.
+    // and the final-decrement hand-off partition the DAG exactly.
+    std::optional<std::size_t> first_root;
     for (std::size_t id = 0; id < num_ops; ++id) {
-      if (plan_.ops[id].inputs.empty()) {
-        group.Submit([&run_op, id] { run_op(id); });
+      if (!plan_.ops[id].inputs.empty()) continue;
+      if (first_root.has_value()) {
+        group.Submit([&run_from, id] { run_from(id); });
+      } else {
+        first_root = id;
       }
     }
+    if (first_root.has_value()) run_from(*first_root);
     group.Wait();
   }
 

@@ -285,9 +285,12 @@ class Executor {
 /// `outcomes[q]`, default-constructed on entry, receives its outcome.
 ///
 /// Without a `pool`, ops run in id order (planner ids are topological)
-/// on executors[0], on the calling thread. With a pool, an op is
-/// submitted once its last input completes and runs on a free executor;
-/// the waiting thread helps, so there must be pool->num_threads() + 1
+/// on executors[0], on the calling thread. With a pool, an op becomes
+/// ready once its last input completes and runs on a free executor. The
+/// schedule is work-first: the calling thread runs the first root, the
+/// thread that readies an op runs it, and only further ready ops go to
+/// the pool, so a chain-shaped plan stays on the calling thread. The
+/// waiting thread also helps, so there must be pool->num_threads() + 1
 /// executors, each built with num_threads == 1.
 ///
 /// Skip rule, shared by both modes: an op runs only while some query

@@ -1,6 +1,18 @@
 #include "common/json.h"
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace netout {
 namespace {
@@ -76,6 +88,139 @@ TEST(JsonWriterTest, NonFiniteNumbersBecomeNull) {
   json.Number(1.0);
   json.EndArray();
   EXPECT_EQ(std::move(json).Take(), "[null,null,1]");
+}
+
+std::string WrittenNumber(double value) {
+  JsonWriter json;
+  json.Number(value);
+  return std::move(json).Take();
+}
+
+std::string PrintfG12(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.12g", value);
+  return buf;
+}
+
+double FromBits(std::uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+// Number renders through std::to_chars; the wire format is printf's
+// "%.12g", so every finite double must come out byte for byte the same.
+TEST(JsonWriterTest, NumberMatchesPrintfG12) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 2.5, 1.0 / 3.0, -2.0 / 3.0,
+      // Subnormals, the smallest normal, the largest finite.
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      FromBits(0x000FFFFFFFFFFFFFull),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      1e300, -1e300, 1e-300, -1e-300,
+      // Integers at and beyond 2^53, and 12-digit rounding carries.
+      9007199254740992.0, 9007199254740993.0, 18446744073709551616.0,
+      123456789012.0, 999999999999.0, 999999999999.5, 9999999999995.0,
+      // The exponent switch near 1e-5 (fixed from 1e-4 up) and 1e12.
+      1e-5, 9.99999999999e-6, 9.999999999995e-6, 1e-4, 0.000099999999999995,
+      1e11, 1e12, 999999999999.4, 999999999999.6, 1e12 + 1.0, 1e13};
+  for (double anchor : {1e-5, 1e-4, 1e12}) {
+    double down = anchor;
+    double up = anchor;
+    for (int step = 0; step < 64; ++step) {
+      down = std::nextafter(down, 0.0);
+      up = std::nextafter(up, std::numeric_limits<double>::infinity());
+      values.push_back(down);
+      values.push_back(up);
+    }
+  }
+  Rng rng(0x15CD);
+  for (int i = 0; i < 20000; ++i) {
+    // Half raw bit patterns (every exponent), half decimal-ish values.
+    const double scale =
+        std::pow(10.0, static_cast<double>(rng.NextInt(-20, 20)));
+    const double value = i % 2 == 0 ? FromBits(rng.NextUint64())
+                                    : (rng.NextDouble() - 0.5) * scale;
+    if (std::isfinite(value)) values.push_back(value);
+  }
+  for (const double value : values) {
+    EXPECT_EQ(WrittenNumber(value), PrintfG12(value)) << std::hexfloat << value;
+  }
+}
+
+TEST(JsonWriterTest, IntegersMatchToString) {
+  for (const std::int64_t value :
+       {std::int64_t{0}, std::int64_t{-1}, std::int64_t{42},
+        std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max()}) {
+    JsonWriter json;
+    json.Int(value);
+    EXPECT_EQ(std::move(json).Take(), std::to_string(value));
+  }
+  for (const std::uint64_t value :
+       {std::uint64_t{0}, std::uint64_t{7},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    JsonWriter json;
+    json.Uint(value);
+    EXPECT_EQ(std::move(json).Take(), std::to_string(value));
+  }
+}
+
+// Escaping as a per-byte table: the two-character escapes, \u00XX for
+// the other control bytes, every other byte (UTF-8 included) verbatim.
+std::string ExpectedEscape(std::string_view value) {
+  std::string out = "\"";
+  for (const char ch : value) {
+    const auto c = static_cast<unsigned char>(ch);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += ch;
+        }
+    }
+  }
+  out += "\"";
+  return out;
+}
+
+TEST(JsonWriterTest, StringAndKeyEscapeEveryByte) {
+  std::vector<std::string> inputs = {
+      "", "plain", "\"", "\\", "\"quoted\" and \\back\\slashed\\",
+      "caf\xC3\xA9 \xE6\x97\xA5\xE6\x9C\xAC \xF0\x9F\x98\x80",  // UTF-8
+      std::string("\x00mid\x00", 6), "\x7F\x80\xFF"};
+  for (int c = 0; c < 0x20; ++c) {
+    std::string embedded = "a";
+    embedded += static_cast<char>(c);
+    embedded += 'b';
+    inputs.push_back(std::string(1, static_cast<char>(c)));
+    inputs.push_back(std::move(embedded));
+  }
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) every_byte += static_cast<char>(c);
+  inputs.push_back(every_byte);
+  for (const std::string& input : inputs) {
+    const std::string expected = ExpectedEscape(input);
+    EXPECT_EQ(JsonEscape(input), expected);
+    JsonWriter json;
+    json.BeginObject();
+    json.Key(input);
+    json.String(input);
+    json.EndObject();
+    EXPECT_EQ(std::move(json).Take(), "{" + expected + ":" + expected + "}");
+  }
 }
 
 TEST(JsonWriterTest, PrettyPrintIndents) {

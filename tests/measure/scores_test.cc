@@ -1,11 +1,18 @@
 #include "measure/scores.h"
 
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "common/thread_pool.h"
+#include "measure/connectivity.h"
+#include "metapath/kernels.h"
 
 namespace netout {
 namespace {
@@ -294,6 +301,219 @@ TEST(ComputeScoresDispatchTest, LofThroughTheCommonEntryPoint) {
       ComputeOutlierScores(candidates, references, options).value();
   EXPECT_GT(scores[1], scores[0]);
 }
+
+// The factored NetOut gathers each candidate's dot product from a dense
+// reference sum instead of merging against the harvested one. It must be
+// bitwise the merge form, Dot(c, SumVectors(refs)) / Visibility(c), under
+// either kernel variant's merge dot (DESIGN.md §10).
+class NetOutGatherTest : public ::testing::TestWithParam<KernelVariant> {
+ protected:
+  static std::uint64_t Bits(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+  }
+
+  double MergeDot(SparseVecView a, SparseVecView b) const {
+    return GetKernelOps(GetParam())
+        .dot(a.indices.data(), a.values.data(), a.indices.size(),
+             b.indices.data(), b.values.data(), b.indices.size());
+  }
+
+  std::vector<double> MergeNetOut(
+      const std::vector<SparseVector>& candidates,
+      const std::vector<SparseVector>& references) const {
+    const SparseVector sum = SumVectors(references);
+    std::vector<double> scores;
+    for (const SparseVector& cand : candidates) {
+      const double visibility = Visibility(cand.View());
+      scores.push_back(visibility == 0.0
+                           ? 0.0
+                           : MergeDot(cand.View(), sum.View()) / visibility);
+    }
+    return scores;
+  }
+
+  std::vector<double> MergeJoint(
+      const std::vector<std::vector<SparseVector>>& candidates,
+      const std::vector<std::vector<SparseVector>>& references,
+      const std::vector<double>& weights) const {
+    std::vector<SparseVector> sums;
+    for (const auto& refs : references) sums.push_back(SumVectors(refs));
+    std::vector<double> scores;
+    for (std::size_t i = 0; i < candidates.front().size(); ++i) {
+      double numerator = 0.0;
+      double joint_visibility = 0.0;
+      for (std::size_t p = 0; p < candidates.size(); ++p) {
+        const SparseVecView phi = candidates[p][i].View();
+        numerator += weights[p] * MergeDot(phi, sums[p].View());
+        joint_visibility += weights[p] * L2NormSquared(phi);
+      }
+      scores.push_back(joint_visibility == 0.0 ? 0.0
+                                               : numerator / joint_visibility);
+    }
+    return scores;
+  }
+
+  void ExpectBitwise(const std::vector<double>& actual,
+                     const std::vector<double>& expected) const {
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(Bits(actual[i]), Bits(expected[i]))
+          << "candidate " << i << ": " << actual[i] << " vs " << expected[i];
+    }
+  }
+
+  void CheckNetOut(const std::vector<SparseVector>& candidates,
+                   const std::vector<SparseVector>& references) const {
+    ScoreOptions options;
+    options.measure = OutlierMeasure::kNetOut;
+    const std::vector<double> expected = MergeNetOut(candidates, references);
+    ExpectBitwise(ComputeOutlierScores(candidates, references, options).value(),
+                  expected);
+    ThreadPool pool(2);
+    options.pool = &pool;
+    ExpectBitwise(ComputeOutlierScores(candidates, references, options).value(),
+                  expected);
+    // The one-path joint score is the same quotient.
+    ExpectBitwise(JointNetOutScores({AsViews(candidates)},
+                                    {AsViews(references)}, {1.0})
+                      .value(),
+                  expected);
+  }
+
+  /// `count` random sorted vectors with up to `max_nnz` indices in
+  /// [lo, hi); values mix integral path counts and fractional doubles.
+  static std::vector<SparseVector> RandomVectors(Rng* rng, std::size_t count,
+                                                 std::size_t max_nnz,
+                                                 LocalId lo, LocalId hi) {
+    std::vector<SparseVector> out;
+    for (std::size_t v = 0; v < count; ++v) {
+      std::vector<std::pair<LocalId, double>> pairs;
+      const std::size_t nnz = rng->NextBounded(max_nnz + 1);
+      for (std::size_t k = 0; k < nnz; ++k) {
+        const auto index = static_cast<LocalId>(lo + rng->NextBounded(hi - lo));
+        const double value =
+            rng->NextBool(0.5) ? static_cast<double>(rng->NextInt(1, 50))
+                               : rng->NextDouble() * 16.0 - 8.0;
+        pairs.emplace_back(index, value);
+      }
+      SparseVector vec = SparseVector::FromPairs(std::move(pairs));
+      vec.Prune();
+      out.push_back(std::move(vec));
+    }
+    return out;
+  }
+};
+
+TEST_P(NetOutGatherTest, RandomOverlap) {
+  Rng rng(0x6A7E + static_cast<int>(GetParam()));
+  for (int round = 0; round < 40; ++round) {
+    const LocalId dim = static_cast<LocalId>(4 + rng.NextBounded(400));
+    CheckNetOut(RandomVectors(&rng, 1 + rng.NextBounded(30), 40, 0, dim),
+                RandomVectors(&rng, 1 + rng.NextBounded(30), 40, 0, dim));
+  }
+}
+
+TEST_P(NetOutGatherTest, DisjointSupports) {
+  Rng rng(11);
+  CheckNetOut(RandomVectors(&rng, 12, 20, 0, 100),
+              RandomVectors(&rng, 12, 20, 100, 200));
+  CheckNetOut(RandomVectors(&rng, 12, 20, 100, 200),
+              RandomVectors(&rng, 12, 20, 0, 100));
+}
+
+TEST_P(NetOutGatherTest, CandidateIndicesAboveReferenceMaximum) {
+  Rng rng(12);
+  CheckNetOut(RandomVectors(&rng, 20, 60, 0, 1000),
+              RandomVectors(&rng, 8, 20, 0, 50));
+  // Every candidate entry lies past the reference sum's dimension.
+  CheckNetOut(RandomVectors(&rng, 8, 20, 500, 900),
+              RandomVectors(&rng, 8, 20, 0, 50));
+}
+
+TEST_P(NetOutGatherTest, EmptyCandidates) {
+  Rng rng(13);
+  const std::vector<SparseVector> references =
+      RandomVectors(&rng, 6, 20, 0, 80);
+  CheckNetOut({}, references);
+  CheckNetOut({SparseVector(), SparseVector()}, references);
+  std::vector<SparseVector> mixed = RandomVectors(&rng, 6, 20, 0, 80);
+  mixed.insert(mixed.begin() + 3, SparseVector());
+  CheckNetOut(mixed, references);
+  // All references empty too: a zero-dimension sum.
+  CheckNetOut(mixed, {SparseVector()});
+}
+
+TEST_P(NetOutGatherTest, SingleReference) {
+  Rng rng(14);
+  for (int round = 0; round < 10; ++round) {
+    CheckNetOut(RandomVectors(&rng, 15, 30, 0, 120),
+                RandomVectors(&rng, 1, 30, 0, 120));
+  }
+}
+
+TEST_P(NetOutGatherTest, CandidatesAreTheReferences) {
+  Rng rng(15);
+  for (int round = 0; round < 10; ++round) {
+    const std::vector<SparseVector> vectors =
+        RandomVectors(&rng, 25, 30, 0, 200);
+    CheckNetOut(vectors, vectors);
+  }
+}
+
+// A reference slot that sums to exactly zero is dropped by the harvest,
+// so the merge never multiplies it; the gather must skip it too — an
+// infinite candidate value there would otherwise turn the sum into NaN.
+TEST_P(NetOutGatherTest, CancelledReferenceSlotIsSkipped) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<SparseVector> references = {
+      SparseVector::FromSorted({1, 3, 5}, {2.0, 1.5, -0.0}),
+      SparseVector::FromSorted({3, 6}, {-1.5, 4.0}),
+  };
+  const std::vector<SparseVector> candidates = {
+      SparseVector::FromSorted({1, 3, 6}, {2.0, inf, 1.0}),
+      SparseVector::FromSorted({3, 5}, {7.0, 3.0}),
+      SparseVector::FromSorted({1, 6, 9}, {0.5, 0.25, 8.0}),
+  };
+  CheckNetOut(candidates, references);
+}
+
+TEST_P(NetOutGatherTest, JointScoresMatchMergeForm) {
+  Rng rng(16);
+  const std::vector<double> weights = {1.0, 0.5, 2.0};
+  for (int round = 0; round < 10; ++round) {
+    const std::size_t num_candidates = 1 + rng.NextBounded(20);
+    const std::size_t num_references = 1 + rng.NextBounded(20);
+    std::vector<std::vector<SparseVector>> candidates;
+    std::vector<std::vector<SparseVector>> references;
+    for (std::size_t p = 0; p < weights.size(); ++p) {
+      const LocalId dim = static_cast<LocalId>(8 + rng.NextBounded(300));
+      // Candidates reach past the references' range on some paths.
+      candidates.push_back(RandomVectors(&rng, num_candidates, 30, 0,
+                                         p == 1 ? 2 * dim : dim));
+      references.push_back(
+          round % 2 == 0
+              ? RandomVectors(&rng, num_references, 30, 0, dim)
+              : candidates.back());
+    }
+    std::vector<std::vector<SparseVecView>> cand_views;
+    std::vector<std::vector<SparseVecView>> ref_views;
+    for (std::size_t p = 0; p < weights.size(); ++p) {
+      cand_views.push_back(AsViews(candidates[p]));
+      ref_views.push_back(AsViews(references[p]));
+    }
+    ExpectBitwise(JointNetOutScores(cand_views, ref_views, weights).value(),
+                  MergeJoint(candidates, references, weights));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothKernelVariants, NetOutGatherTest,
+    ::testing::Values(KernelVariant::kScalar, KernelVariant::kAvx2),
+    [](const ::testing::TestParamInfo<KernelVariant>& param_info) {
+      return std::string(KernelVariantName(param_info.param));
+    });
 
 }  // namespace
 }  // namespace netout

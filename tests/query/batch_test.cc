@@ -1,7 +1,10 @@
 #include "query/batch.h"
 
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -161,6 +164,30 @@ TEST_F(BatchFixture, NonConcurrentIndexIsRejected) {
   EXPECT_TRUE(accepted[0].status.ok());
 }
 
+/// Records every thread that looked something up; never hits.
+class ThreadRecordingIndex : public MetaPathIndex {
+ public:
+  explicit ThreadRecordingIndex(bool concurrent) : concurrent_(concurrent) {}
+
+  std::optional<IndexHit> Lookup(const TwoStepKey&, LocalId) const override {
+    MutexLock lock(mutex_);
+    threads_.insert(std::this_thread::get_id());
+    return std::nullopt;
+  }
+  std::size_t MemoryBytes() const override { return 0; }
+  bool SupportsConcurrentUse() const override { return concurrent_; }
+
+  std::set<std::thread::id> threads() const {
+    MutexLock lock(mutex_);
+    return threads_;
+  }
+
+ private:
+  const bool concurrent_;
+  mutable Mutex mutex_;
+  mutable std::set<std::thread::id> threads_ NETOUT_GUARDED_BY(mutex_);
+};
+
 // Regression: a 1-worker runner used to build a pool of one, and
 // TaskGroup::Wait help-drains the group's own tasks on the caller, so
 // the worker and the waiting thread ran ops at the same time — sharing
@@ -168,33 +195,13 @@ TEST_F(BatchFixture, NonConcurrentIndexIsRejected) {
 // one worker was asked for. A 1-worker runner now runs the plan inline:
 // every Lookup comes from the calling thread.
 TEST_F(BatchFixture, SingleWorkerRunsOnTheCallingThreadOnly) {
-  class ThreadRecordingIndex : public MetaPathIndex {
-   public:
-    std::optional<IndexHit> Lookup(const TwoStepKey&,
-                                   LocalId) const override {
-      MutexLock lock(mutex_);
-      threads_.insert(std::this_thread::get_id());
-      return std::nullopt;
-    }
-    std::size_t MemoryBytes() const override { return 0; }
-    bool SupportsConcurrentUse() const override { return false; }
-
-    std::set<std::thread::id> threads() const {
-      MutexLock lock(mutex_);
-      return threads_;
-    }
-
-   private:
-    mutable Mutex mutex_;
-    mutable std::set<std::thread::id> threads_ NETOUT_GUARDED_BY(mutex_);
-  };
   WorkloadConfig workload;
   workload.num_queries = 24;
   workload.seed = 21;
   const auto queries = GenerateWorkload(*dataset_->hin, "author",
                                         QueryTemplate::kQ1, workload)
                            .value();
-  ThreadRecordingIndex index;
+  ThreadRecordingIndex index(/*concurrent=*/false);
   EngineOptions options;
   options.index = &index;
   BatchRunner runner(dataset_->hin, options, 1);
@@ -202,6 +209,31 @@ TEST_F(BatchFixture, SingleWorkerRunsOnTheCallingThreadOnly) {
   ASSERT_EQ(outcomes.size(), queries.size());
   for (const BatchOutcome& outcome : outcomes) {
     ASSERT_TRUE(outcome.status.ok());
+  }
+  const std::set<std::thread::id> threads = index.threads();
+  ASSERT_FALSE(threads.empty());
+  EXPECT_EQ(threads.size(), 1u);
+  EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
+}
+
+// The pooled schedule is work-first: the caller runs the first root and
+// each thread runs the op it readied, so a one-query batch, whose plan
+// is a chain, never leaves the calling thread even with idle workers.
+TEST_F(BatchFixture, OneQueryBatchStaysOnTheCallingThread) {
+  WorkloadConfig workload;
+  workload.num_queries = 12;
+  workload.seed = 22;
+  const auto queries = GenerateWorkload(*dataset_->hin, "author",
+                                        QueryTemplate::kQ1, workload)
+                           .value();
+  ThreadRecordingIndex index(/*concurrent=*/true);
+  EngineOptions options;
+  options.index = &index;
+  BatchRunner runner(dataset_->hin, options, 2);
+  for (const std::string& query : queries) {
+    const auto outcomes = runner.Run(std::vector<std::string>{query});
+    ASSERT_EQ(outcomes.size(), 1u);
+    ASSERT_TRUE(outcomes[0].status.ok()) << query;
   }
   const std::set<std::thread::id> threads = index.threads();
   ASSERT_FALSE(threads.empty());

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench/efficiency_common.h"
+#include "common/thread_pool.h"
 #include "query/batch.h"
 
 int main() {
@@ -59,9 +60,11 @@ int main() {
   std::size_t materialized_cse_on = 0;
   std::size_t materialized_cse_off = 0;
   for (const bool cse : {true, false}) {
+    ThreadPool pool(4);
     EngineOptions options;
     options.exec.plan_cse = cse;
-    BatchRunner runner(setup.dataset.hin, options, 4);
+    options.exec.pool = &pool;
+    BatchRunner runner(setup.dataset.hin, options);
     Stopwatch watch;
     const std::vector<BatchOutcome> outcomes = runner.Run(queries);
     const double ms = watch.ElapsedMillis();

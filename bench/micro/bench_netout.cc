@@ -59,30 +59,11 @@ void BM_NetOutNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_NetOutNaive)->Arg(64)->Arg(256)->Arg(1024)->Complexity();
 
-// Per-candidate scoring fanned across a worker pool (ScoreOptions::pool);
-// Arg = thread count. Output is bitwise-identical to the serial run, so
-// this isolates the parallel-scoring speedup of ExecOptions::num_threads.
-void BM_NetOutFactoredParallel(benchmark::State& state) {
-  const std::size_t num_threads = static_cast<std::size_t>(state.range(0));
-  const auto vectors = RandomVectors(1024, 2000, 24, 42);
-  ThreadPool pool(num_threads);
-  ScoreOptions options;
-  options.use_factored = true;
-  options.pool = num_threads > 1 ? &pool : nullptr;
-  for (auto _ : state) {
-    auto scores = ComputeOutlierScores(vectors, vectors, options).value();
-    benchmark::DoNotOptimize(scores);
-  }
-}
-BENCHMARK(BM_NetOutFactoredParallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
-// The naive quadratic form has far more work per candidate, so it scales
-// closer to linearly with the pool size.
+// Pairwise scoring fanned across a worker pool (ScoreOptions::pool);
+// Arg = thread count. 1024 x 1024 pairs clear kMinFanOutPairs, and the
+// naive quadratic form has enough work per candidate to scale close to
+// linearly with the pool size. Output is bitwise-identical to the serial
+// run. (Factored NetOut never fans out: a candidate costs one gather.)
 void BM_NetOutNaiveParallel(benchmark::State& state) {
   const std::size_t num_threads = static_cast<std::size_t>(state.range(0));
   const auto vectors = RandomVectors(1024, 2000, 24, 42);

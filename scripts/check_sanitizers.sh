@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Sanitizer gate (generalizes the old check_tsan.sh):
+# Sanitizer gate:
 #   1. ThreadSanitizer build  -> `concurrency`+`cache`+`planner`+
 #      `robustness`+`incremental`-labelled tests (thread pool / task
 #      group / batch runner / intra-query parallelism / sharded-cache

@@ -13,11 +13,10 @@
 namespace netout {
 namespace {
 
-// Version 1 stored schema + names + forward CSRs. Version 2 appends the
-// per-direction adjacency sketches (degree-sum statistics the planner's
-// cardinality estimator reads); v1 snapshots still load, recomputing the
-// sketches from the CSR arrays.
-constexpr std::string_view kHinMagicV1 = "NOUTHIN1";
+// Version 2: schema + names + forward CSRs + the per-direction adjacency
+// sketches (degree-sum statistics the planner's cardinality estimator
+// reads). Version 1 files (no sketches) are not read: their magic
+// fails the check like any other foreign file.
 constexpr std::string_view kHinMagicV2 = "NOUTHIN2";
 
 void AppendSketch(std::string* buf, const AdjacencySketch& sketch) {
@@ -201,12 +200,8 @@ Status SaveHinBinary(const Hin& hin, std::string_view path) {
 
 Result<HinPtr> LoadHinBinary(std::string_view path) {
   NETOUT_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-  const bool is_v1 =
-      data.size() >= kHinMagicV1.size() &&
-      std::string_view(data).substr(0, kHinMagicV1.size()) == kHinMagicV1;
-  NETOUT_ASSIGN_OR_RETURN(
-      std::string payload,
-      UnwrapChecked(is_v1 ? kHinMagicV1 : kHinMagicV2, data));
+  NETOUT_ASSIGN_OR_RETURN(std::string payload,
+                          UnwrapChecked(kHinMagicV2, data));
 
   auto hin = std::shared_ptr<Hin>(new Hin());
   Cursor cur(payload);
@@ -288,25 +283,21 @@ Result<HinPtr> LoadHinBinary(std::string_view path) {
         Csr::FromEdges(hin->names_[info.dst].size(), std::move(reversed)));
   }
 
-  if (is_v1) {
-    hin->ComputeSketches();
-  } else {
-    hin->forward_sketch_.reserve(num_edge_types);
-    hin->reverse_sketch_.reserve(num_edge_types);
-    for (std::uint64_t e = 0; e < num_edge_types; ++e) {
-      NETOUT_ASSIGN_OR_RETURN(AdjacencySketch fwd, ReadSketch(&cur));
-      NETOUT_ASSIGN_OR_RETURN(AdjacencySketch rev, ReadSketch(&cur));
-      const Csr& fwd_csr = hin->forward_[e];
-      const Csr& rev_csr = hin->reverse_[e];
-      if (fwd.rows != fwd_csr.num_rows() ||
-          fwd.entries != fwd_csr.num_entries() ||
-          rev.rows != rev_csr.num_rows() ||
-          rev.entries != rev_csr.num_entries()) {
-        return Status::Corruption("adjacency sketch does not match CSR");
-      }
-      hin->forward_sketch_.push_back(fwd);
-      hin->reverse_sketch_.push_back(rev);
+  hin->forward_sketch_.reserve(num_edge_types);
+  hin->reverse_sketch_.reserve(num_edge_types);
+  for (std::uint64_t e = 0; e < num_edge_types; ++e) {
+    NETOUT_ASSIGN_OR_RETURN(AdjacencySketch fwd, ReadSketch(&cur));
+    NETOUT_ASSIGN_OR_RETURN(AdjacencySketch rev, ReadSketch(&cur));
+    const Csr& fwd_csr = hin->forward_[e];
+    const Csr& rev_csr = hin->reverse_[e];
+    if (fwd.rows != fwd_csr.num_rows() ||
+        fwd.entries != fwd_csr.num_entries() ||
+        rev.rows != rev_csr.num_rows() ||
+        rev.entries != rev_csr.num_entries()) {
+      return Status::Corruption("adjacency sketch does not match CSR");
     }
+    hin->forward_sketch_.push_back(fwd);
+    hin->reverse_sketch_.push_back(rev);
   }
 
   if (!cur.AtEnd()) {

@@ -25,10 +25,12 @@ Status SaveHinText(const Hin& hin, std::string_view path);
 
 /// Versioned binary snapshot with an FNV-1a integrity checksum over the
 /// payload. Layout (little-endian):
-///   magic "NOUTHIN1" | u64 payload_size | payload | u64 fnv1a(payload)
+///   magic "NOUTHIN2" | u64 payload_size | payload | u64 fnv1a(payload)
 /// Payload: schema (type/edge-type names + endpoints), per-type vertex
 /// name tables, per-edge-type forward CSR arrays (reverse CSRs are
-/// rebuilt on load).
+/// rebuilt on load), then per-edge-type forward and reverse adjacency
+/// sketches. Any other magic, including the sketch-less "NOUTHIN1",
+/// fails with kCorruption.
 Status SaveHinBinary(const Hin& hin, std::string_view path);
 Result<HinPtr> LoadHinBinary(std::string_view path);
 

@@ -154,14 +154,13 @@ void ForEachCandidate(ThreadPool* pool, const CancellationToken* cancel,
 
 std::vector<double> NetOutFactored(std::span<const SparseVecView> candidates,
                                    std::span<const SparseVecView> references,
-                                   ThreadPool* pool,
                                    const CancellationToken* cancel) {
   // Equation (1): Ω(vi) = (φ(vi) · Σ_j φ(vj)) / ‖φ(vi)‖². The reference
-  // sum is computed once, kept dense, and shared read-only across
-  // workers; each candidate gathers from it in O(nnz(φ(vi))).
+  // sum is computed once and kept dense; each candidate gathers from it
+  // in O(nnz(φ(vi))), too little work to pay for a fan-out.
   const std::vector<double> reference_sum = DenseSum(references);
   std::vector<double> scores(candidates.size(), 0.0);
-  ForEachCandidate(pool, cancel, candidates.size(), [&](std::size_t i) {
+  ForEachCandidate(nullptr, cancel, candidates.size(), [&](std::size_t i) {
     const SparseVecView& cand = candidates[i];
     const double visibility = Visibility(cand);
     if (visibility != 0.0) {
@@ -225,21 +224,21 @@ Result<std::vector<double>> ComputeOutlierScores(
     return Status::InvalidArgument(
         "outlier scoring requires a non-empty reference set");
   }
+  // The pairwise measures fan out only when the pairs repay it.
+  ThreadPool* const pool =
+      candidates.size() * references.size() >= kMinFanOutPairs ? options.pool
+                                                               : nullptr;
   Result<std::vector<double>> scores =
       [&]() -> Result<std::vector<double>> {
     switch (options.measure) {
       case OutlierMeasure::kNetOut:
         return options.use_factored
-                   ? NetOutFactored(candidates, references, options.pool,
-                                    options.cancel)
-                   : NetOutNaive(candidates, references, options.pool,
-                                 options.cancel);
+                   ? NetOutFactored(candidates, references, options.cancel)
+                   : NetOutNaive(candidates, references, pool, options.cancel);
       case OutlierMeasure::kPathSim:
-        return PathSimSums(candidates, references, options.pool,
-                           options.cancel);
+        return PathSimSums(candidates, references, pool, options.cancel);
       case OutlierMeasure::kCosSim:
-        return CosSimSums(candidates, references, options.pool,
-                          options.cancel);
+        return CosSimSums(candidates, references, pool, options.cancel);
       case OutlierMeasure::kLof:
         return LofScores(candidates, references, options.lof_k);
       case OutlierMeasure::kCustom: {
@@ -283,8 +282,7 @@ Result<std::vector<double>> ComputeOutlierScores(
 Result<std::vector<double>> JointNetOutScores(
     const std::vector<std::vector<SparseVecView>>& per_path_candidates,
     const std::vector<std::vector<SparseVecView>>& per_path_references,
-    const std::vector<double>& weights, ThreadPool* pool,
-    const CancellationToken* cancel) {
+    const std::vector<double>& weights, const CancellationToken* cancel) {
   if (per_path_candidates.empty() ||
       per_path_candidates.size() != per_path_references.size() ||
       per_path_candidates.size() != weights.size()) {
@@ -324,7 +322,7 @@ Result<std::vector<double>> JointNetOutScores(
     reference_sums.push_back(DenseSum(refs));
   }
   std::vector<double> scores(num_candidates, 0.0);
-  ForEachCandidate(pool, cancel, num_candidates, [&](std::size_t i) {
+  ForEachCandidate(nullptr, cancel, num_candidates, [&](std::size_t i) {
     double numerator = 0.0;
     double joint_visibility = 0.0;
     for (std::size_t p = 0; p < per_path_candidates.size(); ++p) {

@@ -43,6 +43,13 @@ Result<OutlierMeasure> ParseOutlierMeasure(std::string_view text);
 /// disconnected; LOF is a density ratio — high means outlying.
 bool SmallerIsMoreOutlying(OutlierMeasure measure);
 
+/// Fewest candidate x reference pairs a pairwise measure (PathSim,
+/// CosSim, naive NetOut) fans its candidates out over ScoreOptions::pool
+/// for; less work scores on the calling thread. The pair count, not the
+/// candidate count, sets the break-even: EXPERIMENTS.md ("One schedule,
+/// one pool") records the sweep behind it.
+inline constexpr std::size_t kMinFanOutPairs = 4096;
+
 /// Score-computation options.
 struct ScoreOptions {
   OutlierMeasure measure = OutlierMeasure::kNetOut;
@@ -59,13 +66,15 @@ struct ScoreOptions {
   /// Required when measure == kCustom; ignored otherwise.
   SimilarityFn custom_similarity;
 
-  /// Optional worker pool (borrowed) for the per-candidate scoring
-  /// loops of NetOut/PathSim/CosSim: each candidate's score is computed
-  /// independently against the read-only reference data (the Equation
-  /// (1) reference sum is built once and shared), so results are
-  /// bitwise-identical to the serial path regardless of thread count.
-  /// LOF and kCustom stay serial (LOF mutates shared distance state;
-  /// a user similarity fn is not guaranteed thread-safe). Null = serial.
+  /// Optional worker pool (borrowed) for the pairwise per-candidate
+  /// loops of PathSim, CosSim and the naive NetOut, used once there are
+  /// at least kMinFanOutPairs candidate x reference pairs: each
+  /// candidate's score is computed independently against the read-only
+  /// references, so results are bitwise-identical to the serial path
+  /// regardless of thread count.
+  /// Factored NetOut costs tens of nanoseconds per candidate and stays
+  /// serial, as do LOF (it mutates shared distance state) and kCustom (a
+  /// user similarity fn is not guaranteed thread-safe). Null = serial.
   ThreadPool* pool = nullptr;
 
   /// Optional cooperative stop token (borrowed). The per-candidate loops
@@ -124,13 +133,12 @@ enum class CombineMode : std::uint8_t {
 /// index of both nested spans: feature meta-path; inner: candidate /
 /// reference vertex (the same vertex order across paths). A candidate
 /// whose joint visibility is zero scores 0 (maximally outlying).
-/// `pool` (optional, borrowed) parallelizes the per-candidate loop; the
-/// per-path reference sums are computed once and shared read-only, so
-/// output is identical across thread counts.
+/// Serial, like the single-path factored NetOut: each candidate costs a
+/// gather per path.
 Result<std::vector<double>> JointNetOutScores(
     const std::vector<std::vector<SparseVecView>>& per_path_candidates,
     const std::vector<std::vector<SparseVecView>>& per_path_references,
-    const std::vector<double>& weights, ThreadPool* pool = nullptr,
+    const std::vector<double>& weights,
     const CancellationToken* cancel = nullptr);
 
 /// Combines per-path score lists (outer index: meta-path, inner index:

@@ -4,39 +4,15 @@
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "query/parser.h"
 #include "query/planner.h"
 
 namespace netout {
 
-struct BatchRunner::Impl {
-  Impl(HinPtr hin_in, const EngineOptions& options_in,
-       std::size_t num_threads)
-      : hin(std::move(hin_in)), options(options_in) {
-    // One worker runs the plan inline on the calling thread: a pool of
-    // one would still run ops on two threads, because TaskGroup::Wait
-    // helps drain the group's own tasks.
-    if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
-  }
+BatchRunner::BatchRunner(HinPtr hin, const EngineOptions& engine_options)
+    : hin_(std::move(hin)), options_(engine_options) {}
 
-  HinPtr hin;
-  EngineOptions options;
-  std::unique_ptr<ThreadPool> pool;  // null for one worker
-};
-
-BatchRunner::BatchRunner(HinPtr hin, const EngineOptions& engine_options,
-                         std::size_t num_threads)
-    : impl_(std::make_unique<Impl>(std::move(hin), engine_options,
-                                   num_threads)) {}
-
-BatchRunner::~BatchRunner() = default;
-
-std::size_t BatchRunner::num_threads() const {
-  return impl_->pool == nullptr ? 1 : impl_->pool->num_threads();
-}
-
-void BatchRunner::SetSnapshot(HinPtr hin) { impl_->hin = std::move(hin); }
+void BatchRunner::SetSnapshot(HinPtr hin) { hin_ = std::move(hin); }
 
 std::vector<BatchOutcome> BatchRunner::Run(
     const std::vector<std::string>& queries) {
@@ -52,22 +28,8 @@ std::vector<BatchOutcome> BatchRunner::Run(
     const std::vector<BatchQuery>& queries) {
   std::vector<BatchOutcome> outcomes(queries.size());
   if (queries.empty()) return outcomes;
-  const HinPtr& hin = impl_->hin;
-  const EngineOptions& options = impl_->options;
-
-  // The attached index is shared by every worker; with more than one
-  // worker an index that cannot serve concurrent lookups would be a
-  // silent data race, so reject the whole batch up front. All in-tree
-  // indexes (PM/SPM/CachedIndex) are concurrent-safe.
-  if (options.index != nullptr && impl_->pool != nullptr &&
-      !options.index->SupportsConcurrentUse()) {
-    const Status rejected = Status::FailedPrecondition(
-        "the attached index reports SupportsConcurrentUse() == false and "
-        "cannot be shared across BatchRunner workers; use one thread or "
-        "a concurrent-safe index");
-    for (BatchOutcome& outcome : outcomes) outcome.status = rejected;
-    return outcomes;
-  }
+  const HinPtr& hin = hin_;
+  const EngineOptions& options = options_;
 
   // Parse and analyze every query up front; failures are isolated here
   // and never enter the plan. Prepared plans live in a pre-reserved
@@ -130,23 +92,9 @@ std::vector<BatchOutcome> BatchRunner::Run(
   for (const Prepared& p : prepared) planner.AddQuery(p.plan);
   const PhysicalPlan plan = planner.Take();
 
-  // One single-threaded executor per worker, plus one for the waiting
-  // thread, which helps drain its own group.
-  ExecOptions exec_options = options.exec;
-  exec_options.num_threads = 1;
-  const std::size_t num_executors =
-      impl_->pool == nullptr ? 1 : impl_->pool->num_threads() + 1;
-  std::vector<std::unique_ptr<Executor>> executors;
-  std::vector<Executor*> executor_ptrs;
-  for (std::size_t w = 0; w < num_executors; ++w) {
-    executors.push_back(
-        std::make_unique<Executor>(hin, options.index, exec_options));
-    executor_ptrs.push_back(executors.back().get());
-  }
-
+  Executor executor(hin, options.index, options.exec);
   std::vector<BatchOutcome> planned(prepared.size());
-  RunPhysicalPlan(plan, token_ptrs, options.exec.stop_policy,
-                  impl_->pool.get(), executor_ptrs, planned);
+  RunPhysicalPlan(plan, token_ptrs, executor, planned);
   for (std::size_t k = 0; k < prepared.size(); ++k) {
     BatchOutcome& outcome = outcomes[prepared[k].input_index];
     outcome = std::move(planned[k]);

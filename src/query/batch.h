@@ -1,7 +1,6 @@
 #ifndef NETOUT_QUERY_BATCH_H_
 #define NETOUT_QUERY_BATCH_H_
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -30,29 +29,28 @@ struct BatchQuery {
 /// query's parse, analyze and per-operator wall times rather than one
 /// end-to-end clock.
 ///
+/// The plan runs inline on the calling thread; large operators fan out
+/// over `engine_options.exec.pool` exactly as in a solo query.
+///
 /// This is an extension beyond the paper (whose measurements are
 /// single-threaded, as are the Figure 3-5 benches here); it serves
 /// multi-analyst / dashboard workloads.
 class BatchRunner {
  public:
-  /// With `num_threads` > 1, that many workers are spawned once and
-  /// reused across Run calls; with 1, every Run executes inline on the
-  /// calling thread.
-  BatchRunner(HinPtr hin, const EngineOptions& engine_options,
-              std::size_t num_threads);
-  ~BatchRunner();
+  /// `engine_options.index` and `engine_options.exec.pool` are borrowed
+  /// and must outlive the runner.
+  BatchRunner(HinPtr hin, const EngineOptions& engine_options);
 
   BatchRunner(const BatchRunner&) = delete;
   BatchRunner& operator=(const BatchRunner&) = delete;
 
   /// Runs every query; outcomes are returned in input order. Individual
   /// query failures are reported per-outcome, never thrown/propagated.
-  /// Re-entrant: concurrent Run() calls from different threads share the
-  /// worker pool but complete independently (each waits on a per-run
-  /// TaskGroup, not the pool's global idle state). If the attached index
-  /// reports SupportsConcurrentUse() == false and the runner has more
-  /// than one worker, every outcome fails with kFailedPrecondition
-  /// instead of racing on the shared index.
+  /// Re-entrant: concurrent Run() calls from different threads each run
+  /// on their own executor and complete independently (a fan-out waits
+  /// on its own TaskGroup, not the pool's global idle state). With a
+  /// pool and an index that reports SupportsConcurrentUse() == false,
+  /// every outcome fails with kFailedPrecondition (RunPhysicalPlan).
   ///
   /// Deadlines/budgets/cancellation are per query: each query carries
   /// its own control token, installed only around the operators that
@@ -71,11 +69,9 @@ class BatchRunner {
   /// is exactly the serialization the delta-maintained indexes need too.
   void SetSnapshot(HinPtr hin);
 
-  std::size_t num_threads() const;
-
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  HinPtr hin_;
+  EngineOptions options_;
 };
 
 }  // namespace netout

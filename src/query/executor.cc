@@ -1,16 +1,12 @@
 #include "query/executor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "common/sync.h"
 #include "common/thread_pool.h"
 #include "measure/topk.h"
 #include "query/planner.h"
@@ -121,14 +117,6 @@ Executor::Executor(HinPtr hin, const MetaPathIndex* index,
       options_(options),
       evaluator_(hin_, index) {
   NETOUT_CHECK(hin_ != nullptr);
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    worker_evaluators_.reserve(options_.num_threads);
-    for (std::size_t i = 0; i < options_.num_threads; ++i) {
-      worker_evaluators_.push_back(
-          std::make_unique<NeighborVectorEvaluator>(hin_, index));
-    }
-  }
 }
 
 Executor::~Executor() = default;
@@ -136,14 +124,18 @@ Executor::~Executor() = default;
 void Executor::SetStopToken(const CancellationToken* token) {
   stop_token_ = token;
   evaluator_.SetStopToken(token);
-  for (const auto& worker : worker_evaluators_) {
-    worker->SetStopToken(token);
-  }
+  for (const auto& shard : shard_evaluators_) shard->SetStopToken(token);
 }
 
-std::size_t Executor::MaterializeWorkers(std::size_t count) const {
-  if (pool_ == nullptr || count < 2) return 1;
-  return std::min(worker_evaluators_.size(), count);
+Status Executor::CheckConcurrentUse() const {
+  if (options_.pool == nullptr || index_ == nullptr ||
+      index_->SupportsConcurrentUse()) {
+    return Status::OK();
+  }
+  return Status::FailedPrecondition(
+      "the attached index reports SupportsConcurrentUse() == false and "
+      "cannot be shared by a thread pool's workers; run without a pool or "
+      "use a concurrent-safe index");
 }
 
 template <typename Produce>
@@ -166,35 +158,44 @@ Result<std::vector<SparseVector>> Executor::MapSharded(
     }
     return Status::OK();
   };
-  const std::size_t workers = MaterializeWorkers(count);
-  if (workers <= 1) {
+  const std::size_t shards =
+      options_.pool == nullptr
+          ? 1
+          : std::min(options_.pool->num_threads(), count / kMinRowsPerShard);
+  if (shards <= 1) {
     NETOUT_RETURN_IF_ERROR(run_shard(0, count, evaluator_, stats));
     return vectors;
   }
 
-  std::vector<EvalStats> shard_stats(workers);
-  std::vector<Status> shard_status(workers);
-  const std::size_t shard_size = (count + workers - 1) / workers;
+  for (std::size_t w = shard_evaluators_.size() + 1; w < shards; ++w) {
+    shard_evaluators_.push_back(
+        std::make_unique<NeighborVectorEvaluator>(hin_, index_));
+    shard_evaluators_.back()->SetStopToken(stop_token_);
+  }
+  std::vector<EvalStats> shard_stats(shards);
+  std::vector<Status> shard_status(shards);
+  const std::size_t shard_size = (count + shards - 1) / shards;
   // A tripped token makes the group skip still-queued shards entirely
   // (their status slots stay OK with unwritten vectors); the token check
   // after the merge below keeps such holes from escaping as results.
-  TaskGroup group(pool_.get(), stop_token_);
-  for (std::size_t w = 0; w < workers; ++w) {
+  TaskGroup group(options_.pool, stop_token_);
+  for (std::size_t w = 0; w < shards; ++w) {
     const std::size_t begin = w * shard_size;
     const std::size_t end = std::min(count, begin + shard_size);
     if (begin >= end) break;
-    group.Submit([&, w, begin, end] {
-      shard_status[w] =
-          run_shard(begin, end, *worker_evaluators_[w], &shard_stats[w]);
+    NeighborVectorEvaluator* evaluator =
+        w == 0 ? &evaluator_ : shard_evaluators_[w - 1].get();
+    group.Submit([&, w, begin, end, evaluator] {
+      shard_status[w] = run_shard(begin, end, *evaluator, &shard_stats[w]);
     });
   }
   group.Wait();
-  for (std::size_t w = 0; w < workers; ++w) {
+  for (std::size_t w = 0; w < shards; ++w) {
     if (stats != nullptr) stats->MergeFrom(shard_stats[w]);
   }
   // Real errors win over stop statuses so the surfaced first error stays
-  // thread-count-invariant; only then does the stop itself surface.
-  for (std::size_t w = 0; w < workers; ++w) {
+  // independent of the shard count; only then does the stop surface.
+  for (std::size_t w = 0; w < shards; ++w) {
     if (!shard_status[w].ok() && !IsStopStatus(shard_status[w])) {
       return shard_status[w];
     }
@@ -383,9 +384,7 @@ Status Executor::ExecuteOp(const PhysicalPlan& plan, std::size_t id,
       }
       ScoreOptions score_options;
       score_options.measure = op.query->measure;
-      score_options.use_factored = options_.use_factored_netout;
-      score_options.lof_k = options_.lof_k;
-      score_options.pool = pool_.get();
+      score_options.pool = options_.pool;
       score_options.cancel = stop_token_;
       NETOUT_ASSIGN_OR_RETURN(
           out.scores,
@@ -429,8 +428,7 @@ Status Executor::ExecuteOp(const PhysicalPlan& plan, std::size_t id,
         }
         NETOUT_ASSIGN_OR_RETURN(
             out.scores,
-            JointNetOutScores(cand_views, ref_views, weights, pool_.get(),
-                              stop_token_));
+            JointNetOutScores(cand_views, ref_views, weights, stop_token_));
       } else {
         std::vector<std::vector<double>> per_path_scores;
         per_path_scores.reserve(op.inputs.size());
@@ -587,18 +585,6 @@ Result<QueryResult> Executor::Run(const QueryPlan& plan) {
 
 Result<QueryResult> Executor::Run(const QueryPlan& plan,
                                   const CancellationToken* cancel) {
-  // Guard, not fallback: an index that cannot serve concurrent
-  // lookups must not be combined with intra-query parallelism. The
-  // in-tree indexes (PM/SPM/CachedIndex) are all concurrent-safe; this
-  // rejects third-party implementations instead of silently racing or
-  // silently dropping to one worker.
-  if (index_ != nullptr && options_.num_threads > 1 &&
-      !index_->SupportsConcurrentUse()) {
-    return Status::FailedPrecondition(
-        "the attached index reports SupportsConcurrentUse() == false and "
-        "cannot be used with num_threads > 1; run single-threaded or "
-        "attach one index instance per thread");
-  }
   // The run's control token: arms the configured deadline/budget now and
   // chains the caller's cancel handle. When nothing is armed, no token
   // is installed at all — every poll stays a null-pointer check and
@@ -613,10 +599,8 @@ Result<QueryResult> Executor::Run(const QueryPlan& plan,
                                         options_.cost_based_order, index_});
   planner.AddQuery(plan);
   const PhysicalPlan physical = planner.Take();
-  Executor* const self = this;
   BatchOutcome outcome;
-  RunPhysicalPlan(physical, {&token, 1}, options_.stop_policy,
-                  /*pool=*/nullptr, {&self, 1}, {&outcome, 1});
+  RunPhysicalPlan(physical, {&token, 1}, *this, {&outcome, 1});
   if (!outcome.status.ok()) return std::move(outcome.status);
   outcome.result.stats.total_nanos = total_watch.ElapsedNanos();
   return std::move(outcome.result);
@@ -647,10 +631,7 @@ Result<std::vector<VertexRef>> Executor::EvaluateSet(
 namespace {
 
 /// One RunPhysicalPlan call: the op slots, what each op observed, and
-/// the skip rule, shared by the inline and the pool schedule. In pool
-/// mode runtimes_ and the outcome statuses are read and written only
-/// under the schedule's mutex; a slot is written only by its op's task
-/// and read by the op's consumers after the indegree hand-off.
+/// the skip rule.
 class PlanRun {
  public:
   PlanRun(const PhysicalPlan& plan,
@@ -708,7 +689,7 @@ class PlanRun {
     }
   }
 
-  void RunInline(Executor& executor) {
+  void Run(Executor& executor) {
     for (std::size_t id = 0; id < plan_.ops.size(); ++id) {
       if (!IsLive(id)) continue;
       const Status status = Execute(executor, id, &runtimes_[id]);
@@ -716,88 +697,9 @@ class PlanRun {
     }
   }
 
-  void RunPooled(ThreadPool& pool, std::span<Executor* const> executors) {
-    const std::size_t num_ops = plan_.ops.size();
-    // Guards free_executors, runtimes_ and the outcome statuses the skip
-    // rule reads (locals cannot carry GUARDED_BY; the capability layer
-    // still checks the acquire/release pairing).
-    Mutex mutex;
-    std::vector<Executor*> free_executors(executors.begin(),
-                                          executors.end());
-    // A consumer is submitted only after every input's completion
-    // decremented its indegree (acq_rel, so the final decrement
-    // publishes all inputs' slot writes).
-    std::vector<std::vector<std::size_t>> consumers(num_ops);
-    const auto indegree =
-        std::make_unique<std::atomic<std::size_t>[]>(num_ops);
-    for (std::size_t id = 0; id < num_ops; ++id) {
-      indegree[id].store(plan_.ops[id].inputs.size(),
-                         std::memory_order_relaxed);
-      for (const std::size_t input : plan_.ops[id].inputs) {
-        consumers[input].push_back(id);
-      }
-    }
-
-    // Work-first: a thread that completes an op's last input runs that
-    // consumer itself and submits only the other ops that became ready,
-    // and the caller runs the first root. A chain-shaped plan (a one-query
-    // batch) therefore never leaves the calling thread or wakes a worker.
-    TaskGroup group(&pool);
-    std::function<void(std::size_t)> run_from = [&](std::size_t id) {
-      for (;;) {
-        Executor* executor = nullptr;
-        {
-          MutexLock lock(mutex);
-          if (IsLive(id)) {
-            executor = free_executors.back();
-            free_executors.pop_back();
-          }
-        }
-        if (executor != nullptr) {
-          PlanOpRuntime runtime;
-          const Status status = Execute(*executor, id, &runtime);
-          MutexLock lock(mutex);
-          runtimes_[id] = runtime;
-          if (!status.ok()) Fail(id, status);
-          free_executors.push_back(executor);
-        }
-        std::optional<std::size_t> next;
-        for (const std::size_t consumer : consumers[id]) {
-          if (indegree[consumer].fetch_sub(1, std::memory_order_acq_rel) !=
-              1) {
-            continue;
-          }
-          if (next.has_value()) {
-            group.Submit([&run_from, consumer] { run_from(consumer); });
-          } else {
-            next = consumer;
-          }
-        }
-        if (!next.has_value()) return;
-        id = *next;
-      }
-    };
-    // Seed from the static inputs.empty() property, never the live atomic:
-    // a root started earlier in this loop may already be cascading on a
-    // worker, driving downstream indegrees to zero before the scan reaches
-    // them -- reading the counter here would start those ops a second
-    // time. Input-free ops appear in no consumers list, so the static test
-    // and the final-decrement hand-off partition the DAG exactly.
-    std::optional<std::size_t> first_root;
-    for (std::size_t id = 0; id < num_ops; ++id) {
-      if (!plan_.ops[id].inputs.empty()) continue;
-      if (first_root.has_value()) {
-        group.Submit([&run_from, id] { run_from(id); });
-      } else {
-        first_root = id;
-      }
-    }
-    if (first_root.has_value()) run_from(*first_root);
-    group.Wait();
-  }
-
   /// Resolves each query's outcome (order documented at RunPhysicalPlan).
-  void Resolve(StopPolicy stop_policy, const Executor& executor) {
+  void Resolve(const Executor& executor) {
+    const StopPolicy stop_policy = executor.options().stop_policy;
     for (std::size_t q = 0; q < outcomes_.size(); ++q) {
       BatchOutcome& outcome = outcomes_[q];
       const PlanQuery& entry = plan_.queries[q];
@@ -887,20 +789,17 @@ class PlanRun {
 
 void RunPhysicalPlan(const PhysicalPlan& plan,
                      std::span<const CancellationToken* const> tokens,
-                     StopPolicy stop_policy, ThreadPool* pool,
-                     std::span<Executor* const> executors,
-                     std::span<BatchOutcome> outcomes) {
+                     Executor& executor, std::span<BatchOutcome> outcomes) {
   NETOUT_CHECK(tokens.size() == plan.queries.size());
   NETOUT_CHECK(outcomes.size() == plan.queries.size());
-  NETOUT_CHECK(!executors.empty());
-  PlanRun run(plan, tokens, outcomes);
-  if (pool == nullptr) {
-    run.RunInline(*executors[0]);
-  } else {
-    NETOUT_CHECK(executors.size() > pool->num_threads());
-    run.RunPooled(*pool, executors);
+  const Status guard = executor.CheckConcurrentUse();
+  if (!guard.ok()) {
+    for (BatchOutcome& outcome : outcomes) outcome.status = guard;
+    return;
   }
-  run.Resolve(stop_policy, *executors[0]);
+  PlanRun run(plan, tokens, outcomes);
+  run.Run(executor);
+  run.Resolve(executor);
 }
 
 }  // namespace netout

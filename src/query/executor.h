@@ -19,6 +19,11 @@ namespace netout {
 
 class ThreadPool;
 
+/// Fewest rows a Materialize hands each shard when it fans out over
+/// ExecOptions::pool; a smaller operator runs on the calling thread.
+/// EXPERIMENTS.md ("One schedule, one pool") records the sweep behind it.
+inline constexpr std::size_t kMinRowsPerShard = 256;
+
 /// One returned outlier.
 struct OutlierEntry {
   VertexRef vertex;
@@ -37,7 +42,7 @@ struct OutlierEntry {
 /// Score/Combine → score, TopK → topk). Unlike EvalStats (which slices
 /// materialization by index hit/miss), these are disjoint wall-clock
 /// spans whose sum approximates total_nanos, so speedups from
-/// ExecOptions::num_threads show up directly per stage.
+/// ExecOptions::pool show up directly per stage.
 struct StageTimings {
   std::int64_t parse_nanos = 0;
   std::int64_t analyze_nanos = 0;
@@ -107,27 +112,23 @@ struct QueryResult {
 
 /// Execution tuning knobs.
 struct ExecOptions {
-  /// NetOut's Equation (1) factorization (on by default; the naive
-  /// pairwise form exists for differential testing / ablation).
-  bool use_factored_netout = true;
-
   /// Drop candidates whose feature vectors are all empty instead of
   /// reporting them as maximal outliers.
   bool skip_zero_visibility = false;
 
-  /// k for the LOF baseline measure.
-  std::size_t lof_k = 5;
-
-  /// Intra-query parallelism: > 1 spawns a private worker pool that fans
-  /// out (a) per-candidate neighbor-vector materialization (one
-  /// traversal workspace per worker; the attached index, if any, must
-  /// report SupportsConcurrentUse() — all in-tree indexes including
-  /// CachedIndex do; Run rejects others with kFailedPrecondition) and
-  /// (b) the per-candidate NetOut/PathSim/CosSim scoring loops.
-  /// Results are bitwise-identical to num_threads == 1: every
-  /// candidate's value is computed by the same serial per-candidate
-  /// code, only the outer loop is distributed.
-  std::size_t num_threads = 1;
+  /// Worker pool for large operators (borrowed, may be null; it must
+  /// outlive every executor built with these options). Null runs every
+  /// operator on the calling thread. With a pool, a Materialize fans its
+  /// rows out in contiguous shards only when each shard gets at least
+  /// kMinRowsPerShard rows, and PathSim, CosSim and the naive NetOut fan
+  /// out over candidates from kMinFanOutPairs pairs on (measure/scores.h);
+  /// factored and joint NetOut, LOF and custom measures stay serial.
+  /// Results are bitwise identical with or without a pool: every row
+  /// and every candidate is computed by the same serial code, only the
+  /// outer loop is distributed. The attached index, if any, must report
+  /// SupportsConcurrentUse() (all in-tree indexes do); RunPhysicalPlan
+  /// rejects others with kFailedPrecondition.
+  ThreadPool* pool = nullptr;
 
   /// Common-subpath elimination in the planner (see PlannerOptions).
   /// Scores are bitwise-identical either way; off re-materializes every
@@ -220,12 +221,13 @@ class Executor {
   /// candidate extraction and by tools). Members are returned sorted.
   Result<std::vector<VertexRef>> EvaluateSet(const ResolvedSet& set);
 
-  /// Worker count one materialization of `count` vectors would use: 1
-  /// without a pool or for tiny inputs, else min(num_threads, count).
-  /// Public for tests and diagnostics (it proves the executor no longer
-  /// falls back to serial materialization when a CachedIndex is
-  /// attached).
-  std::size_t MaterializeWorkers(std::size_t count) const;
+  /// The one concurrency guard: with a pool, the attached index is
+  /// shared by the fan-out's workers, so an index that reports
+  /// SupportsConcurrentUse() == false fails with kFailedPrecondition
+  /// (rejected, not silently serialized). OK without a pool or index.
+  Status CheckConcurrentUse() const;
+
+  const ExecOptions& options() const { return options_; }
 
   /// φ of every vertex of `members` under `path`, in order (see
   /// MapSharded for the sharding). Public for the progressive strategy,
@@ -256,13 +258,14 @@ class Executor {
 
  private:
   /// out[i] = produce(i, evaluator, acc, stats) for i in [0, count):
-  /// serial on evaluator_, or one contiguous shard per worker evaluator
-  /// when MaterializeWorkers says so, each shard with its own dense
-  /// accumulator and stats. Shard stats merge in shard order after the
-  /// group waits, a real error wins over a stop status, and the token
-  /// is re-checked after the wait, so output, stats and the surfaced
-  /// error are thread-count-invariant. Every produced vector is charged
-  /// to the stop token's byte budget once.
+  /// serial on evaluator_, or, with a pool and at least two shards of
+  /// kMinRowsPerShard rows, one contiguous shard per pool worker, each
+  /// with its own evaluator, dense accumulator and stats. Shard stats
+  /// merge in shard order after the group waits, a real error wins over
+  /// a stop status, and the token is re-checked after the wait, so
+  /// output, stats and the surfaced error are thread-count-invariant.
+  /// Every produced vector is charged to the stop token's byte budget
+  /// once.
   template <typename Produce>
   Result<std::vector<SparseVector>> MapSharded(std::size_t count,
                                                EvalStats* stats,
@@ -273,10 +276,9 @@ class Executor {
   ExecOptions options_;
   const CancellationToken* stop_token_ = nullptr;
   NeighborVectorEvaluator evaluator_;
-  // Intra-query pool and one traversal workspace per worker; null/empty
-  // unless options_.num_threads > 1.
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<NeighborVectorEvaluator>> worker_evaluators_;
+  // Traversal workspaces of shards 1.. of a fan-out (shard 0 uses
+  // evaluator_), built on the first fan-out that needs them.
+  std::vector<std::unique_ptr<NeighborVectorEvaluator>> shard_evaluators_;
 };
 
 /// The one way a PhysicalPlan of full queries (Planner::AddQuery)
@@ -284,33 +286,28 @@ class Executor {
 /// `tokens[q]` is query q's control token (null = no limits);
 /// `outcomes[q]`, default-constructed on entry, receives its outcome.
 ///
-/// Without a `pool`, ops run in id order (planner ids are topological)
-/// on executors[0], on the calling thread. With a pool, an op becomes
-/// ready once its last input completes and runs on a free executor. The
-/// schedule is work-first: the calling thread runs the first root, the
-/// thread that readies an op runs it, and only further ready ops go to
-/// the pool, so a chain-shaped plan stays on the calling thread. The
-/// waiting thread also helps, so there must be pool->num_threads() + 1
-/// executors, each built with num_threads == 1.
+/// Ops run in id order (planner ids are topological) on `executor`, on
+/// the calling thread; only a large operator fans out, over the
+/// executor's ExecOptions::pool. With a pool, CheckConcurrentUse() must
+/// pass, or every query fails with its status.
 ///
-/// Skip rule, shared by both modes: an op runs only while some query
-/// consuming it is live. A query stops being live when its token stops
-/// or one of its ops fails; its feature ops (everything outside its set
-/// phase) are also skipped once its candidate or reference set comes
-/// out empty. An op with one consuming query runs under that query's
-/// token; a shared op runs token-free, so one query's stop never
-/// corrupts output another query still needs.
+/// Skip rule: an op runs only while some query consuming it is live. A
+/// query stops being live when its token stops or one of its ops fails;
+/// its feature ops (everything outside its set phase) are also skipped
+/// once its candidate or reference set comes out empty. An op with one
+/// consuming query runs under that query's token; a shared op runs
+/// token-free, so one query's stop never corrupts output another query
+/// still needs.
 ///
 /// Each query resolves to the first of: its first failure; a set phase
 /// cut short by its token; an empty result (no candidates);
 /// kFailedPrecondition (no references); a feature pipeline cut short by
-/// its token. A stop resolves per `stop_policy`: kError reports it,
-/// kPartial assembles the completed operators into a degraded result.
+/// its token. A stop resolves per the executor's stop_policy: kError
+/// reports it, kPartial assembles the completed operators into a
+/// degraded result.
 void RunPhysicalPlan(const PhysicalPlan& plan,
                      std::span<const CancellationToken* const> tokens,
-                     StopPolicy stop_policy, ThreadPool* pool,
-                     std::span<Executor* const> executors,
-                     std::span<BatchOutcome> outcomes);
+                     Executor& executor, std::span<BatchOutcome> outcomes);
 
 }  // namespace netout
 

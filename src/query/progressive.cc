@@ -61,6 +61,8 @@ Result<QueryResult> ProgressiveExecutor::Run(
     return Status::Unimplemented(
         "progressive execution supports weighted-average combination only");
   }
+  // Candidate materialization may fan out over ExecOptions::pool.
+  NETOUT_RETURN_IF_ERROR(executor_.CheckConcurrentUse());
 
   // The run's control token, armed from the same ExecOptions limits a
   // plain Executor::Run would use, chained with the caller's handle.
@@ -149,8 +151,9 @@ Result<QueryResult> ProgressiveExecutor::Run(
   std::vector<bool> zero_visibility(num_candidates, true);
   {
     // Candidate vectors go through the executor's sharded batch
-    // materialization (one shard per worker when num_threads > 1); only
-    // the incremental reference folding below stays per-vertex.
+    // materialization (it fans out over ExecOptions::pool when large
+    // enough); only the incremental reference folding below stays
+    // per-vertex.
     std::vector<LocalId> candidate_locals(num_candidates);
     for (std::size_t i = 0; i < num_candidates; ++i) {
       candidate_locals[i] = candidate_refs[i].local;

@@ -21,6 +21,7 @@
 
 #include "common/json.h"
 #include "common/sync.h"
+#include "common/thread_pool.h"
 #include "graph/delta.h"
 #include "graph/segment.h"
 #include "index/incremental.h"
@@ -159,6 +160,9 @@ struct Server::Impl {
   const CachedIndex* cache = nullptr;
   MutationContext mutations;
 
+  // The one pool large operators fan out over; null for one thread.
+  // Declared before the runner, which borrows it.
+  std::unique_ptr<ThreadPool> pool;
   std::unique_ptr<BatchRunner> runner;
   CancellationToken drain_token;
 
@@ -249,12 +253,14 @@ struct Server::Impl {
     // Per-request admission control replaces the engine-wide limits:
     // limits flow through the chained request tokens only, so two
     // sessions with different deadlines coexist in one merged batch.
-    engine_options.exec.num_threads = 1;
+    if (options.num_threads > 1) {
+      pool = std::make_unique<ThreadPool>(options.num_threads);
+    }
+    engine_options.exec.pool = pool.get();
     engine_options.exec.stop_policy = StopPolicy::kPartial;
     engine_options.exec.timeout_millis = -1;
     engine_options.exec.memory_budget_bytes = 0;
-    runner = std::make_unique<BatchRunner>(CurrentSnapshot(), engine_options,
-                                           options.num_threads);
+    runner = std::make_unique<BatchRunner>(CurrentSnapshot(), engine_options);
 
     int pipe_fds[2];
     if (::pipe2(pipe_fds, O_CLOEXEC | O_NONBLOCK) != 0) {

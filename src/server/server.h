@@ -50,9 +50,10 @@ struct ServerOptions {
   /// Request line / JSON caps (see ProtocolLimits).
   ProtocolLimits limits;
 
-  /// BatchRunner worker threads executing queries. Each dispatched
-  /// batch is lowered into one shared physical plan (cross-request CSE
-  /// + shared prefixes); 1 runs it inline on the dispatcher thread.
+  /// Width of the server's thread pool. Each dispatched batch is
+  /// lowered into one shared physical plan (cross-request CSE + shared
+  /// prefixes) and run inline on the dispatcher thread; only large
+  /// operators fan out over the pool (ExecOptions::pool). 1 = no pool.
   std::size_t num_threads = 2;
 
   /// Default & ceiling for the per-request deadline: a request's
@@ -130,9 +131,10 @@ struct ServerStatsSnapshot {
 /// The resident query daemon: an event-driven connection multiplexor
 /// (non-blocking accept/read/write over one poll loop) speaking the
 /// NDJSON protocol of server/protocol.h, dispatching parsed queries as
-/// merged batches onto the existing BatchRunner (ThreadPool + shared
-/// physical-plan DAG), with the PR 5 deadline/budget/cancel machinery
-/// as per-connection admission control.
+/// merged batches onto a BatchRunner (one shared physical plan, run
+/// inline, whose large operators fan out over the server's pool), with
+/// the deadline/budget/cancel machinery as per-connection admission
+/// control.
 ///
 /// Threading: Start() spawns one dispatcher thread; Serve() runs the
 /// poll loop on the calling thread until shutdown. RequestShutdown()
@@ -160,9 +162,10 @@ class Server {
  public:
   /// `engine_options.index` (and `cache`, when the index is a
   /// CachedIndex whose stats STATS should expose) are borrowed and must
-  /// outlive the server. exec.num_threads / stop_policy / timeout /
-  /// budget members of engine_options are overridden by the server's
-  /// per-request admission control.
+  /// outlive the server. The exec.pool member of engine_options is
+  /// replaced by the server's own pool (ServerOptions::num_threads), and
+  /// stop_policy / timeout / budget by its per-request admission
+  /// control.
   Server(HinPtr hin, const EngineOptions& engine_options,
          const ServerOptions& options, const CachedIndex* cache = nullptr,
          const MutationContext& mutations = {});

@@ -108,10 +108,11 @@ TEST(GraphIoTest, BinaryRoundTripPreservesSketches) {
   }
 }
 
-TEST(GraphIoTest, V1SnapshotsLoadAndRecomputeSketches) {
-  // A v1 snapshot is exactly the v2 payload minus the trailing sketch
-  // section (4 u64 per edge type and direction), wrapped with the old
-  // magic; the loader must accept it and rebuild sketches from the CSR.
+TEST(GraphIoTest, V1SnapshotsAreRejected) {
+  // A v1 snapshot is the v2 payload minus the trailing sketch section
+  // (4 u64 per edge type and direction), wrapped with the old magic and
+  // a valid checksum. The v1 read path is gone: the loader must refuse
+  // the file as corrupt, not crash or guess at the missing sketches.
   const HinPtr original = MakeSample();
   const ScopedTempDir tmp("netout_io");
   const std::string path = tmp.File("v1.hin");
@@ -125,14 +126,9 @@ TEST(GraphIoTest, V1SnapshotsLoadAndRecomputeSketches) {
   ASSERT_TRUE(
       WriteStringToFile(path, WrapWithChecksum("NOUTHIN1", payload)).ok());
 
-  const HinPtr loaded = LoadHinBinary(path).value();
-  ExpectSameNetwork(*original, *loaded);
-  for (EdgeTypeId e = 0; e < original->schema().num_edge_types(); ++e) {
-    for (Direction dir : {Direction::kForward, Direction::kReverse}) {
-      const EdgeStep step{e, dir};
-      EXPECT_EQ(original->StepSketch(step), loaded->StepSketch(step));
-    }
-  }
+  const Result<HinPtr> loaded = LoadHinBinary(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
 TEST(GraphIoTest, BinaryLoadRejectsSketchCsrMismatch) {

@@ -1,5 +1,5 @@
 // Mixed lookup/remember/evict stress on the sharded CachedIndex at
-// 1/2/4/8 threads. Run under TSAN and ASAN by scripts/check_tsan.sh
+// 1/2/4/8 threads. Run under TSAN and ASAN by scripts/check_sanitizers.sh
 // (ctest labels: concurrency, cache). Correctness oracle: every entry's
 // payload is a pure function of its key, so any hit whose content does
 // not match its key proves a torn read, a cross-key mixup, or a

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "datagen/biblio_gen.h"
 #include "graph/builder.h"
 #include "graph/delta.h"
@@ -230,15 +231,18 @@ class IncrementalEquivalenceTest : public ::testing::Test {
     WarmCaches(after);
   }
 
-  /// Runs both queries on `hin` through a BatchRunner with `threads`
-  /// workers and returns the serialized results.
+  /// Runs both queries on `hin` through a BatchRunner with a pool of
+  /// `threads` workers (0 = no pool) and returns the serialized results.
   static std::vector<std::string> RunGrid(const HinPtr& hin,
                                           const MetaPathIndex* index,
                                           std::size_t threads,
                                           std::uint64_t expect_epoch) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
     EngineOptions options;
     options.index = index;
-    BatchRunner runner(hin, options, threads);
+    options.exec.pool = pool.get();
+    BatchRunner runner(hin, options);
     const std::vector<BatchOutcome> outcomes =
         runner.Run(std::vector<std::string>{kVenueQuery, kTermQuery});
     std::vector<std::string> serialized;
@@ -257,7 +261,7 @@ class IncrementalEquivalenceTest : public ::testing::Test {
   static void ExpectEquivalence(const MetaPathIndex* maintained,
                                 const MetaPathIndex* fresh,
                                 const char* config) {
-    for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
       const std::vector<std::string> got =
           RunGrid(world_->snapshot, maintained, threads,
                   world_->final_epoch);

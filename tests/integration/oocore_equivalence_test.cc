@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "datagen/biblio_gen.h"
 #include "graph/segment.h"
 #include "index/cached_index.h"
@@ -129,12 +130,17 @@ class OocoreEquivalenceTest : public ::testing::Test {
     world_ = nullptr;
   }
 
+  /// Both queries through a BatchRunner with a pool of `threads`
+  /// workers (0 = no pool), serialized.
   static std::vector<std::string> RunGrid(const HinPtr& hin,
                                           const MetaPathIndex* index,
                                           std::size_t threads) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
     EngineOptions options;
     options.index = index;
-    BatchRunner runner(hin, options, threads);
+    options.exec.pool = pool.get();
+    BatchRunner runner(hin, options);
     const std::vector<BatchOutcome> outcomes =
         runner.Run(std::vector<std::string>{kVenueQuery, kTermQuery});
     std::vector<std::string> serialized;
@@ -153,7 +159,7 @@ class OocoreEquivalenceTest : public ::testing::Test {
                                 const MetaPathIndex* plain_index,
                                 const MetaPathIndex* packed_index,
                                 const char* config) {
-    for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
       const std::vector<std::string> want =
           RunGrid(world_->memory.hin, mem_index, threads);
       const std::vector<std::string> plain =

@@ -227,26 +227,6 @@ TEST_F(ParallelScoringFixture, PoolGivesBitwiseIdenticalScores) {
   }
 }
 
-TEST_F(ParallelScoringFixture, JointScoresIdenticalWithPool) {
-  const std::vector<std::vector<SparseVector>> cand_storage = {
-      MakeVectors(200, 3), MakeVectors(200, 4)};
-  const std::vector<std::vector<SparseVector>> ref_storage = {
-      MakeVectors(80, 5), MakeVectors(80, 6)};
-  std::vector<std::vector<SparseVecView>> cands;
-  std::vector<std::vector<SparseVecView>> refs;
-  for (const auto& vectors : cand_storage) cands.push_back(AsViews(vectors));
-  for (const auto& vectors : ref_storage) refs.push_back(AsViews(vectors));
-  const std::vector<double> weights = {2.0, 1.0};
-  ThreadPool pool(4);
-  const auto serial = JointNetOutScores(cands, refs, weights).value();
-  const auto parallel =
-      JointNetOutScores(cands, refs, weights, &pool).value();
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]);
-  }
-}
-
 TEST(CustomMeasureTest, SumsTheUserSimilarity) {
   std::vector<SparseVector> references = {
       SparseVector::FromSorted({0}, {2.0}),

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "common/sync.h"
+#include "common/thread_pool.h"
 #include "datagen/biblio_gen.h"
 #include "datagen/workload.h"
 #include "index/cached_index.h"
+#include "query/engine.h"
 
 namespace netout {
 namespace {
@@ -36,6 +38,26 @@ class BatchFixture : public ::testing::Test {
 
 BiblioDataset* BatchFixture::dataset_ = nullptr;
 
+/// Engine options borrowing `pool` (may be null) and `index`.
+EngineOptions WithPool(ThreadPool* pool,
+                       const MetaPathIndex* index = nullptr) {
+  EngineOptions options;
+  options.index = index;
+  options.exec.pool = pool;
+  return options;
+}
+
+void ExpectSameOutliers(const BatchOutcome& got, const BatchOutcome& want) {
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+  ASSERT_EQ(got.result.outliers.size(), want.result.outliers.size());
+  for (std::size_t j = 0; j < got.result.outliers.size(); ++j) {
+    EXPECT_EQ(got.result.outliers[j].name, want.result.outliers[j].name);
+    // Bitwise: a fan-out only distributes the same per-row arithmetic.
+    EXPECT_EQ(got.result.outliers[j].score, want.result.outliers[j].score);
+  }
+}
+
 TEST_F(BatchFixture, ParallelMatchesSequential) {
   WorkloadConfig workload;
   workload.num_queries = 40;
@@ -44,21 +66,16 @@ TEST_F(BatchFixture, ParallelMatchesSequential) {
                                         QueryTemplate::kQ1, workload)
                            .value();
 
-  BatchRunner sequential(dataset_->hin, EngineOptions{}, 1);
-  BatchRunner parallel(dataset_->hin, EngineOptions{}, 4);
+  BatchRunner sequential(dataset_->hin, EngineOptions{});
   const auto a = sequential.Run(queries);
-  const auto b = parallel.Run(queries);
   ASSERT_EQ(a.size(), queries.size());
-  ASSERT_EQ(b.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(a[i].status.ok()) << queries[i];
-    ASSERT_TRUE(b[i].status.ok()) << queries[i];
-    ASSERT_EQ(a[i].result.outliers.size(), b[i].result.outliers.size());
-    for (std::size_t j = 0; j < a[i].result.outliers.size(); ++j) {
-      EXPECT_EQ(a[i].result.outliers[j].name,
-                b[i].result.outliers[j].name);
-      EXPECT_DOUBLE_EQ(a[i].result.outliers[j].score,
-                       b[i].result.outliers[j].score);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    BatchRunner parallel(dataset_->hin, WithPool(&pool));
+    const auto b = parallel.Run(queries);
+    ASSERT_EQ(b.size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ExpectSameOutliers(b[i], a[i]);
     }
   }
 }
@@ -73,7 +90,8 @@ TEST_F(BatchFixture, PerQueryFailuresAreIsolated) {
       "FIND OUTLIERS FROM author{\"" + dataset_->star_names[1] +
           "\"}.paper.author JUDGED BY author.paper.venue TOP 3;",
   };
-  BatchRunner runner(dataset_->hin, EngineOptions{}, 2);
+  ThreadPool pool(2);
+  BatchRunner runner(dataset_->hin, WithPool(&pool));
   const auto outcomes = runner.Run(queries);
   ASSERT_EQ(outcomes.size(), 4u);
   EXPECT_TRUE(outcomes[0].status.ok());
@@ -86,7 +104,7 @@ TEST_F(BatchFixture, PerQueryFailuresAreIsolated) {
 
 // Regression: Run() used to wait on the pool's *global* idle state, so
 // two concurrent Run() calls on one runner blocked on (and could return
-// before) each other's work. With the per-run TaskGroup each call
+// before) each other's work. Each call now runs on its own executor and
 // completes exactly its own queries.
 TEST_F(BatchFixture, ConcurrentRunsCompleteIndependently) {
   WorkloadConfig workload;
@@ -100,11 +118,12 @@ TEST_F(BatchFixture, ConcurrentRunsCompleteIndependently) {
                                           QueryTemplate::kQ1, workload)
                              .value();
 
-  BatchRunner reference(dataset_->hin, EngineOptions{}, 1);
+  BatchRunner reference(dataset_->hin, EngineOptions{});
   const auto expect_a = reference.Run(queries_a);
   const auto expect_b = reference.Run(queries_b);
 
-  BatchRunner runner(dataset_->hin, EngineOptions{}, 2);
+  ThreadPool pool(2);
+  BatchRunner runner(dataset_->hin, WithPool(&pool));
   std::vector<BatchOutcome> got_a;
   std::vector<BatchOutcome> got_b;
   std::thread thread_a([&] { got_a = runner.Run(queries_a); });
@@ -116,15 +135,7 @@ TEST_F(BatchFixture, ConcurrentRunsCompleteIndependently) {
                   const std::vector<BatchOutcome>& expected) {
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_TRUE(got[i].status.ok());
-      ASSERT_EQ(got[i].result.outliers.size(),
-                expected[i].result.outliers.size());
-      for (std::size_t j = 0; j < got[i].result.outliers.size(); ++j) {
-        EXPECT_EQ(got[i].result.outliers[j].name,
-                  expected[i].result.outliers[j].name);
-        EXPECT_DOUBLE_EQ(got[i].result.outliers[j].score,
-                         expected[i].result.outliers[j].score);
-      }
+      ExpectSameOutliers(got[i], expected[i]);
     }
   };
   check(got_a, expect_a);
@@ -133,8 +144,8 @@ TEST_F(BatchFixture, ConcurrentRunsCompleteIndependently) {
 
 // Regression: BatchRunner used to share any attached index across its
 // worker threads with no SupportsConcurrentUse() check — a silent data
-// race for non-concurrent-safe indexes. Such indexes are now rejected
-// up front with a clear per-outcome error.
+// race for non-concurrent-safe indexes. With a pool, such indexes are
+// now rejected up front with a clear per-outcome error.
 TEST_F(BatchFixture, NonConcurrentIndexIsRejected) {
   class NonConcurrentIndex : public MetaPathIndex {
    public:
@@ -152,13 +163,16 @@ TEST_F(BatchFixture, NonConcurrentIndexIsRejected) {
       "FIND OUTLIERS FROM author{\"" + dataset_->star_names[0] +
       "\"}.paper.author JUDGED BY author.paper.venue TOP 3;"};
 
-  BatchRunner parallel(dataset_->hin, options, 4);
+  ThreadPool pool(4);
+  options.exec.pool = &pool;
+  BatchRunner parallel(dataset_->hin, options);
   const auto rejected = parallel.Run(queries);
   ASSERT_EQ(rejected.size(), 1u);
   EXPECT_EQ(rejected[0].status.code(), StatusCode::kFailedPrecondition);
 
-  // A single-worker runner never shares the index: still allowed.
-  BatchRunner serial(dataset_->hin, options, 1);
+  // A runner without a pool never shares the index: still allowed.
+  options.exec.pool = nullptr;
+  BatchRunner serial(dataset_->hin, options);
   const auto accepted = serial.Run(queries);
   ASSERT_EQ(accepted.size(), 1u);
   EXPECT_TRUE(accepted[0].status.ok());
@@ -191,9 +205,9 @@ class ThreadRecordingIndex : public MetaPathIndex {
 // Regression: a 1-worker runner used to build a pool of one, and
 // TaskGroup::Wait help-drains the group's own tasks on the caller, so
 // the worker and the waiting thread ran ops at the same time — sharing
-// an index that NonConcurrentIndexIsRejected lets through because only
-// one worker was asked for. A 1-worker runner now runs the plan inline:
-// every Lookup comes from the calling thread.
+// an index that NonConcurrentIndexIsRejected lets through because no
+// parallelism was asked for. A runner without a pool runs the plan
+// inline: every Lookup comes from the calling thread.
 TEST_F(BatchFixture, SingleWorkerRunsOnTheCallingThreadOnly) {
   WorkloadConfig workload;
   workload.num_queries = 24;
@@ -202,9 +216,7 @@ TEST_F(BatchFixture, SingleWorkerRunsOnTheCallingThreadOnly) {
                                         QueryTemplate::kQ1, workload)
                            .value();
   ThreadRecordingIndex index(/*concurrent=*/false);
-  EngineOptions options;
-  options.index = &index;
-  BatchRunner runner(dataset_->hin, options, 1);
+  BatchRunner runner(dataset_->hin, WithPool(nullptr, &index));
   const auto outcomes = runner.Run(queries);
   ASSERT_EQ(outcomes.size(), queries.size());
   for (const BatchOutcome& outcome : outcomes) {
@@ -216,9 +228,9 @@ TEST_F(BatchFixture, SingleWorkerRunsOnTheCallingThreadOnly) {
   EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
 }
 
-// The pooled schedule is work-first: the caller runs the first root and
-// each thread runs the op it readied, so a one-query batch, whose plan
-// is a chain, never leaves the calling thread even with idle workers.
+// Every plan runs inline and these Q1 operators are far below
+// kMinRowsPerShard, so a one-query batch never leaves the calling
+// thread even with idle pool workers.
 TEST_F(BatchFixture, OneQueryBatchStaysOnTheCallingThread) {
   WorkloadConfig workload;
   workload.num_queries = 12;
@@ -227,9 +239,8 @@ TEST_F(BatchFixture, OneQueryBatchStaysOnTheCallingThread) {
                                         QueryTemplate::kQ1, workload)
                            .value();
   ThreadRecordingIndex index(/*concurrent=*/true);
-  EngineOptions options;
-  options.index = &index;
-  BatchRunner runner(dataset_->hin, options, 2);
+  ThreadPool pool(2);
+  BatchRunner runner(dataset_->hin, WithPool(&pool, &index));
   for (const std::string& query : queries) {
     const auto outcomes = runner.Run(std::vector<std::string>{query});
     ASSERT_EQ(outcomes.size(), 1u);
@@ -241,9 +252,9 @@ TEST_F(BatchFixture, OneQueryBatchStaysOnTheCallingThread) {
   EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
 }
 
-// The sharded CachedIndex is concurrent-safe, so sharing one across
-// batch workers is supported — and warms across queries: parallel
-// outcomes must match the single-threaded un-cached run.
+// The sharded CachedIndex is concurrent-safe, so sharing one with a
+// pool is supported — and warms across queries: outcomes must match the
+// un-cached run without a pool.
 TEST_F(BatchFixture, SharedCachedIndexAcrossWorkers) {
   WorkloadConfig workload;
   workload.num_queries = 24;
@@ -251,37 +262,28 @@ TEST_F(BatchFixture, SharedCachedIndexAcrossWorkers) {
   const auto queries = GenerateWorkload(*dataset_->hin, "author",
                                         QueryTemplate::kQ1, workload)
                            .value();
-  BatchRunner reference(dataset_->hin, EngineOptions{}, 1);
+  BatchRunner reference(dataset_->hin, EngineOptions{});
   const auto expected = reference.Run(queries);
 
   CachedIndex cache;
-  EngineOptions options;
-  options.index = &cache;
-  BatchRunner runner(dataset_->hin, options, 4);
+  ThreadPool pool(4);
+  BatchRunner runner(dataset_->hin, WithPool(&pool, &cache));
   const auto outcomes = runner.Run(queries);
   ASSERT_EQ(outcomes.size(), expected.size());
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].status.ok()) << queries[i];
-    ASSERT_EQ(outcomes[i].result.outliers.size(),
-              expected[i].result.outliers.size());
-    for (std::size_t j = 0; j < outcomes[i].result.outliers.size(); ++j) {
-      EXPECT_EQ(outcomes[i].result.outliers[j].name,
-                expected[i].result.outliers[j].name);
-      EXPECT_DOUBLE_EQ(outcomes[i].result.outliers[j].score,
-                       expected[i].result.outliers[j].score);
-    }
+    ExpectSameOutliers(outcomes[i], expected[i]);
   }
   EXPECT_GT(cache.stats().insertions, 0u);
 }
 
 TEST_F(BatchFixture, EmptyBatch) {
-  BatchRunner runner(dataset_->hin, EngineOptions{}, 2);
+  BatchRunner runner(dataset_->hin, EngineOptions{});
   EXPECT_TRUE(runner.Run(std::vector<std::string>{}).empty());
 }
 
 TEST_F(BatchFixture, ReusableAcrossRuns) {
-  BatchRunner runner(dataset_->hin, EngineOptions{}, 3);
-  EXPECT_EQ(runner.num_threads(), 3u);
+  ThreadPool pool(3);
+  BatchRunner runner(dataset_->hin, WithPool(&pool));
   const std::vector<std::string> queries = {
       "FIND OUTLIERS FROM author{\"" + dataset_->star_names[0] +
       "\"}.paper.author JUDGED BY author.paper.venue TOP 2;"};
@@ -291,6 +293,91 @@ TEST_F(BatchFixture, ReusableAcrossRuns) {
   ASSERT_TRUE(second[0].status.ok());
   EXPECT_EQ(first[0].result.outliers[0].name,
             second[0].result.outliers[0].name);
+}
+
+// The fan-out rule, the same for a solo Engine query and a BatchRunner
+// batch: with a 4-worker pool, an operator fans out only when each of at
+// least two shards gets kMinRowsPerShard rows. A star query's ~20-row
+// Materialize stays on the calling thread; a 1.2k-row one spreads over
+// the pool with top-k bitwise equal to the run without a pool.
+class FanOutFixture : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    BiblioConfig config;
+    config.seed = 41;
+    config.num_areas = 4;
+    config.authors_per_area = 300;
+    config.papers_per_area = 600;
+    config.venues_per_area = 4;
+    config.terms_per_area = 20;
+    config.shared_terms = 10;
+    dataset_ = new BiblioDataset(GenerateBiblio(config).value());
+  }
+  static void TearDownTestSuite() { delete dataset_; }
+
+  /// Runs `query` through an Engine and through a one-query BatchRunner.
+  static std::vector<BatchOutcome> RunBoth(const EngineOptions& options,
+                                           const std::string& query) {
+    Engine engine(dataset_->hin, options);
+    Result<QueryResult> solo = engine.Execute(query);
+    std::vector<BatchOutcome> outcomes(1);
+    if (solo.ok()) {
+      outcomes[0].result = std::move(solo).value();
+    } else {
+      outcomes[0].status = solo.status();
+    }
+    BatchRunner runner(dataset_->hin, options);
+    outcomes.push_back(
+        std::move(runner.Run(std::vector<std::string>{query})[0]));
+    return outcomes;
+  }
+
+  static BiblioDataset* dataset_;
+};
+
+BiblioDataset* FanOutFixture::dataset_ = nullptr;
+
+TEST_F(FanOutFixture, SmallQueryStaysOnTheCallingThread) {
+  const std::string query = "FIND OUTLIERS FROM author{\"" +
+                            dataset_->star_names[0] +
+                            "\"}.paper.author JUDGED BY author.paper.venue "
+                            "TOP 5;";
+  ThreadRecordingIndex index(/*concurrent=*/true);
+  ThreadPool pool(4);
+  const std::vector<BatchOutcome> outcomes =
+      RunBoth(WithPool(&pool, &index), query);
+  for (const BatchOutcome& outcome : outcomes) {
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    EXPECT_LT(outcome.result.stats.candidate_count, kMinRowsPerShard);
+  }
+  const std::set<std::thread::id> threads = index.threads();
+  ASSERT_FALSE(threads.empty());
+  EXPECT_EQ(threads.size(), 1u);
+  EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
+}
+
+TEST_F(FanOutFixture, LargeQueryFansOutWithIdenticalTopK) {
+  const std::string query =
+      "FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 10;";
+  const std::vector<BatchOutcome> serial =
+      RunBoth(WithPool(nullptr), query);
+  ASSERT_TRUE(serial[0].status.ok()) << serial[0].status.ToString();
+  EXPECT_GE(serial[0].result.stats.candidate_count, 1000u);
+
+  ThreadRecordingIndex index(/*concurrent=*/true);
+  ThreadPool pool(4);
+  // A shard is a few milliseconds of work, so the workers all but always
+  // take some; repeat so a loaded host that lets the caller drain every
+  // shard cannot fail the check.
+  for (int attempt = 0; attempt < 10 && index.threads().size() < 2;
+       ++attempt) {
+    const std::vector<BatchOutcome> pooled =
+        RunBoth(WithPool(&pool, &index), query);
+    for (std::size_t i = 0; i < pooled.size(); ++i) {
+      ExpectSameOutliers(pooled[i], serial[i]);
+    }
+  }
+  EXPECT_GT(index.threads().size(), 1u);
 }
 
 }  // namespace

@@ -212,25 +212,6 @@ TEST_F(ExecutorFixture, MultiPathWeightedCombination) {
   EXPECT_EQ(result.outliers[0].name, "Rex");
 }
 
-TEST_F(ExecutorFixture, NaiveAndFactoredNetOutAgreeEndToEnd) {
-  ExecOptions naive;
-  naive.use_factored_netout = false;
-  const QueryResult fast = Run(R"(
-      FIND OUTLIERS FROM author{"Hub"}.paper.author
-      JUDGED BY author.paper.venue TOP 6;
-  )");
-  const QueryResult slow = Run(R"(
-      FIND OUTLIERS FROM author{"Hub"}.paper.author
-      JUDGED BY author.paper.venue TOP 6;
-  )",
-                               naive);
-  ASSERT_EQ(fast.outliers.size(), slow.outliers.size());
-  for (std::size_t i = 0; i < fast.outliers.size(); ++i) {
-    EXPECT_EQ(fast.outliers[i].name, slow.outliers[i].name);
-    EXPECT_NEAR(fast.outliers[i].score, slow.outliers[i].score, 1e-9);
-  }
-}
-
 TEST_F(ExecutorFixture, ZeroVisibilityHandling) {
   // Solo compared against the DB crowd by coauthor overlap: the feature
   // path author.paper.author gives Solo only himself; against references

@@ -4,9 +4,12 @@
 // poison unrelated queries of a batch, and — when armed but generous —
 // leave results bitwise identical to an unlimited run.
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "common/cancellation.h"
+#include "common/thread_pool.h"
 #include "datagen/biblio_gen.h"
 #include "index/cached_index.h"
 #include "query/analyzer.h"
@@ -49,9 +52,11 @@ BiblioDataset* LimitsFixture::dataset_ = nullptr;
 
 TEST_F(LimitsFixture, ZeroDeadlineDegradesPromptlyAcrossThreadCounts) {
   const QueryPlan plan = MakePlan(StarQuery());
-  for (const std::size_t threads : {1u, 2u, 4u}) {
+  for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
     ExecOptions options;
-    options.num_threads = threads;
+    options.pool = pool.get();
     options.timeout_millis = 0;  // expired before the first operator
     options.stop_policy = StopPolicy::kPartial;
     Executor executor(dataset_->hin, nullptr, options);
@@ -116,9 +121,11 @@ TEST_F(LimitsFixture, GenerousLimitsAreBitwiseInvisible) {
 
   CachedIndex cache;
   for (const bool with_cache : {false, true}) {
-    for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
       ExecOptions options;
-      options.num_threads = threads;
+      options.pool = pool.get();
       options.timeout_millis = 3'600'000;            // 1 h: never trips
       options.memory_budget_bytes = std::size_t{1} << 40;  // 1 TiB
       options.stop_policy = StopPolicy::kPartial;
@@ -146,7 +153,10 @@ TEST_F(LimitsFixture, BatchCancelTargetsOnlyOneQuery) {
       {StarQuery(1), &cancel_second},
       {StarQuery(2), nullptr},
   };
-  BatchRunner runner(dataset_->hin, EngineOptions{}, 2);
+  ThreadPool pool(2);
+  EngineOptions engine_options;
+  engine_options.exec.pool = &pool;
+  BatchRunner runner(dataset_->hin, engine_options);
   const auto outcomes = runner.Run(queries);
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_TRUE(outcomes[0].status.ok());
@@ -170,7 +180,10 @@ TEST_F(LimitsFixture, MergedBatchStopIsIsolated) {
       {StarQuery(0), &cancel_first},
       {StarQuery(1), nullptr},
   };
-  BatchRunner runner(dataset_->hin, EngineOptions{}, 2);
+  ThreadPool pool(2);
+  EngineOptions engine_options;
+  engine_options.exec.pool = &pool;
+  BatchRunner runner(dataset_->hin, engine_options);
   const auto outcomes = runner.Run(queries);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0].status.code(), StatusCode::kCancelled);
@@ -193,9 +206,11 @@ TEST_F(LimitsFixture, MergedBatchDegradesStoppedQueryUnderPartialPolicy) {
       {StarQuery(0), &cancel_first},
       {StarQuery(1), nullptr},
   };
+  ThreadPool pool(2);
   EngineOptions engine_options;
   engine_options.exec.stop_policy = StopPolicy::kPartial;
-  BatchRunner runner(dataset_->hin, engine_options, 2);
+  engine_options.exec.pool = &pool;
+  BatchRunner runner(dataset_->hin, engine_options);
   const auto outcomes = runner.Run(queries);
   ASSERT_EQ(outcomes.size(), 2u);
   ASSERT_TRUE(outcomes[0].status.ok());

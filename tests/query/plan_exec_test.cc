@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "graph/builder.h"
 #include "index/cached_index.h"
 #include "index/pm_index.h"
@@ -63,10 +64,13 @@ class PlanExecFixture : public ::testing::Test {
     return AnalyzeQuery(*hin_, ast).value();
   }
 
+  /// Runs `plan` with a pool of `threads` workers (0 = no pool).
   QueryResult Run(const QueryPlan& plan, const MetaPathIndex* index,
                   std::size_t threads, bool cse) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
     ExecOptions options;
-    options.num_threads = threads;
+    options.pool = pool.get();
     options.plan_cse = cse;
     Executor executor(hin_, index, options);
     return executor.Run(plan).value();
@@ -100,7 +104,7 @@ TEST_F(PlanExecFixture, TopKBitwiseIdenticalAcrossThreadsIndexesAndCse) {
                 author.paper.venue.paper.author
       TOP 10;
   )");
-  const QueryResult baseline = Run(plan, nullptr, 1, true);
+  const QueryResult baseline = Run(plan, nullptr, 0, true);
   ASSERT_EQ(baseline.outliers.size(), 10u);
 
   const auto pm = PmIndex::Build(*hin_).value();
@@ -120,7 +124,7 @@ TEST_F(PlanExecFixture, TopKBitwiseIdenticalAcrossThreadsIndexesAndCse) {
                         {"spm", spm.get()},
                         {"cache", &cache}};
   for (const Mode& mode : modes) {
-    for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
       for (const bool cse : {true, false}) {
         const QueryResult result = Run(plan, mode.index, threads, cse);
         ExpectBitwiseEqual(baseline, result,
@@ -256,10 +260,13 @@ TEST_F(PlanExecFixture, MergedBatchMatchesUnmergedAndIsolatesErrors) {
     for (const std::string& query : queries) {
       expected.push_back(solo.Execute(query));
     }
-    for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
       const std::string context = std::string(mode.name) + " threads=" +
                                   std::to_string(threads) + " query ";
-      BatchRunner runner(hin_, options, threads);
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      options.exec.pool = pool.get();
+      BatchRunner runner(hin_, options);
       const std::vector<BatchOutcome> actual = runner.Run(queries);
       ASSERT_EQ(actual.size(), queries.size());
       for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -293,10 +300,12 @@ TEST_F(PlanExecFixture, MergedBatchIdenticalAcrossThreadCounts) {
         std::to_string(3 + i) + ";");
   }
   EngineOptions options;
-  BatchRunner serial(hin_, options, 1);
+  BatchRunner serial(hin_, options);
   const std::vector<BatchOutcome> expected = serial.Run(queries);
-  for (const std::size_t threads : {2u, 4u}) {
-    BatchRunner runner(hin_, options, threads);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    options.exec.pool = &pool;
+    BatchRunner runner(hin_, options);
     const std::vector<BatchOutcome> actual = runner.Run(queries);
     ASSERT_EQ(expected.size(), actual.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -322,9 +331,11 @@ TEST_F(PlanExecFixture, ProgressiveStillMatchesExactExecutor) {
   ASSERT_EQ(expected.outliers.size(), 3u);
   EXPECT_EQ(expected.outliers[0].name, "Rex");
 
-  for (const std::size_t threads : {1u, 4u}) {
+  for (const std::size_t threads : {0u, 4u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
     ExecOptions exec;
-    exec.num_threads = threads;
+    exec.pool = pool.get();
     ProgressiveExecutor progressive(hin_, nullptr, exec,
                                     ProgressiveOptions{});
     const QueryResult final_result =

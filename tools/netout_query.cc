@@ -12,17 +12,19 @@
 //
 // With --file, queries (one per line) run through the batch driver as
 // one shared physical plan, so duplicate sets, conditions and feature
-// prefixes are computed once, on --threads workers; with --query,
-// --threads instead enables intra-query parallelism
-// (ExecOptions::num_threads). --pm / --spm attach a pre-built index;
+// prefixes are computed once. --threads=N (N > 1) builds one pool of N
+// workers that --query, --file and --progressive all share: every plan
+// runs on the calling thread and only large operators (wide
+// materializations, pairwise PathSim/CosSim scoring) fan out over it
+// (ExecOptions::pool). --pm / --spm attach a pre-built index;
 // --cache[=MB] attaches the dynamic LRU cache (default 64 MB),
 // optionally wrapping --pm/--spm as a second tier. The cache is sharded
-// and concurrency-safe, so it combines freely with --threads in both
-// modes. --explain prints why the named candidate scores the way it
-// does; --explain-plan prints the physical operator tree (after running
-// the query, annotated with per-operator wall clock, row counts, index
-// mode and reuse); --progressive streams approximate top-k snapshots
-// with confidence while executing.
+// and concurrency-safe, so it combines freely with --threads. --explain
+// prints why the named candidate scores the way it does; --explain-plan
+// prints the physical operator tree (after running the query, annotated
+// with per-operator wall clock, row counts, index mode and reuse);
+// --progressive streams approximate top-k snapshots with confidence
+// while executing.
 //
 // --timeout-ms arms a per-query wall-clock deadline and
 // --memory-budget-mb a per-query materialization byte budget (both
@@ -32,11 +34,13 @@
 // the reason, 'error' fails the query.
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
 
 #include "common/binary_io.h"
 #include "common/json.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "graph/io.h"
 #include "index/cached_index.h"
 #include "index/serialize.h"
@@ -145,6 +149,9 @@ int main(int argc, char** argv) {
   }
   const std::size_t threads =
       static_cast<std::size_t>(args.GetInt("threads", 1));
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  engine_options.exec.pool = pool.get();
 
   engine_options.exec.timeout_millis = args.GetInt("timeout-ms", -1);
   const std::int64_t budget_mb = args.GetInt("memory-budget-mb", 0);
@@ -174,7 +181,7 @@ int main(int argc, char** argv) {
     while (std::getline(stream, line)) {
       if (!StrTrim(line).empty()) queries.push_back(line);
     }
-    BatchRunner runner(hin, engine_options, threads);
+    BatchRunner runner(hin, engine_options);
     const auto outcomes = runner.Run(queries);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       std::printf("\n-- query %zu: %s\n", i + 1, queries[i].c_str());
@@ -193,7 +200,6 @@ int main(int argc, char** argv) {
   }
 
   const std::string query = args.Get("query");
-  engine_options.exec.num_threads = threads;
   Engine engine(hin, engine_options);
 
   if (args.Has("explain")) {

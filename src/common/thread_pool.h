@@ -14,10 +14,12 @@ namespace netout {
 
 class CancellationToken;
 
-/// A minimal fixed-size thread pool shared by the batch query driver
-/// (whole-query parallelism) and the executor's intra-query fan-out
-/// (ExecOptions::num_threads). The immutable Hin makes query execution
-/// lock-free, so workers never contend outside the queue itself.
+/// A minimal fixed-size thread pool. A process entry point (netout_query,
+/// the server) owns one and every executor borrows it through
+/// ExecOptions::pool; plans run inline on the calling thread and only
+/// large operators fan their rows out over it. The immutable Hin makes
+/// query execution lock-free, so workers never contend outside the
+/// queue itself.
 ///
 /// Completion tracking belongs to TaskGroup, not the pool: several
 /// clients can share one pool and each waits only for its own tasks.

@@ -242,10 +242,10 @@ struct Server::Impl {
 
     shed_backlog_effective = options.shed_backlog != 0
                                  ? options.shed_backlog
-                                 : 4 * std::max<std::size_t>(1, options.num_threads);
+                                 : kDefaultShedBacklog;
     max_backlog_effective = options.max_backlog != 0
                                 ? options.max_backlog
-                                : 32 * std::max<std::size_t>(1, options.num_threads);
+                                : kDefaultMaxBacklog;
     if (max_backlog_effective < shed_backlog_effective) {
       max_backlog_effective = shed_backlog_effective;
     }
@@ -852,13 +852,9 @@ struct Server::Impl {
                             : std::min(timeout, options.shed_timeout_millis);
     }
 
-    // Budget: the global budget divided across worker concurrency forms
-    // the per-request ceiling.
-    std::size_t budget = 0;
-    if (options.memory_budget_bytes != 0) {
-      budget = options.memory_budget_bytes /
-               std::max<std::size_t>(1, options.num_threads);
-    }
+    // Budget: the one dispatcher runs one request's operators at a
+    // time, so the global budget is the per-request ceiling.
+    std::size_t budget = options.memory_budget_bytes;
     if (request.memory_budget_bytes >= 0) {
       const auto requested =
           static_cast<std::size_t>(request.memory_budget_bytes);

@@ -2,6 +2,7 @@
 #define NETOUT_SERVER_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -30,6 +31,10 @@ struct MutationContext {
   SpmIndex* spm = nullptr;
   CachedIndex* cache = nullptr;
 };
+
+/// Backlog thresholds ServerOptions falls back to (see shed_backlog).
+inline constexpr std::size_t kDefaultShedBacklog = 8;
+inline constexpr std::size_t kDefaultMaxBacklog = 64;
 
 /// netout_serve configuration. The server loads the HIN and indexes
 /// once and keeps them resident; every connection then pays only
@@ -60,19 +65,22 @@ struct ServerOptions {
   /// timeout_ms may lower it but never raise it past this. < 0 = no
   /// default deadline (requests may still set one).
   std::int64_t default_timeout_millis = -1;
-  /// Global materialization byte budget, divided evenly across the
-  /// worker concurrency to form the per-request ceiling. 0 = unlimited.
+  /// Materialization byte budget, the ceiling of every request's own
+  /// budget: the one dispatcher runs one request's operators at a time,
+  /// whatever the pool width. 0 = unlimited.
   std::size_t memory_budget_bytes = 0;
 
   /// Load shedding: once this many requests are queued ahead of the
   /// dispatcher, new queries are admitted with their deadline tightened
   /// to shed_timeout_millis and answered best-effort
   /// (StopPolicy::kPartial -> "shed": true, possibly degraded). 0 =
-  /// auto (4 * num_threads).
+  /// auto (kDefaultShedBacklog). Like max_backlog, it does not scale
+  /// with num_threads: the pool only widens large operators, so the
+  /// rate at which the one dispatcher drains light queries stays put.
   std::size_t shed_backlog = 0;
   std::int64_t shed_timeout_millis = 250;
   /// Hard backlog cap: beyond it queries are refused outright with
-  /// resource-exhausted. 0 = auto (32 * num_threads).
+  /// resource-exhausted. 0 = auto (kDefaultMaxBacklog).
   std::size_t max_backlog = 0;
 
   /// Whether the wire "shutdown" op is honored (tests and local tooling

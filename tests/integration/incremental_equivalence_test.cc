@@ -12,9 +12,12 @@
 // edge multiset through GraphBuilder, so the reference path shares no
 // delta-overlay code with the path under test.
 
+#include <chrono>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,7 +32,9 @@
 #include "index/spm_index.h"
 #include "query/batch.h"
 #include "query/engine.h"
+#include "query/executor.h"
 #include "query/result_json.h"
+#include "tests/thread_recording_index.h"
 
 namespace netout {
 namespace {
@@ -40,6 +45,10 @@ constexpr const char* kVenueQuery =
 constexpr const char* kTermQuery =
     "FIND OUTLIERS FROM author{\"star_1\"}.paper.author "
     "JUDGED BY author.paper.term TOP 5;";
+// Every author: 600 Materialize rows, past two kMinRowsPerShard shards,
+// so the grid's cells with 2+ workers run the sharded Materialize.
+constexpr const char* kWideQuery =
+    "FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;";
 
 /// The exact "outliers" array bytes of a serialized result — the
 /// bitwise-identity comparand (stats and epoch legitimately differ).
@@ -121,8 +130,8 @@ class IncrementalEquivalenceTest : public ::testing::Test {
     BiblioConfig config;
     config.seed = 31;
     config.num_areas = 2;
-    config.authors_per_area = 40;
-    config.papers_per_area = 80;
+    config.authors_per_area = 300;
+    config.papers_per_area = 300;
     config.venues_per_area = 3;
     config.terms_per_area = 20;
     config.shared_terms = 10;
@@ -204,7 +213,7 @@ class IncrementalEquivalenceTest : public ::testing::Test {
     world_ = nullptr;
   }
 
-  /// Runs the two reference queries once per cache so every cache holds
+  /// Runs the three reference queries once per cache so every cache holds
   /// entries of the current epoch (and stale ones from earlier epochs).
   static void WarmCaches(const HinPtr& snapshot) {
     for (CachedIndex* cache :
@@ -215,6 +224,7 @@ class IncrementalEquivalenceTest : public ::testing::Test {
       Engine engine(snapshot, options);
       ASSERT_TRUE(engine.Execute(kVenueQuery).ok());
       ASSERT_TRUE(engine.Execute(kTermQuery).ok());
+      ASSERT_TRUE(engine.Execute(kWideQuery).ok());
     }
   }
 
@@ -231,20 +241,31 @@ class IncrementalEquivalenceTest : public ::testing::Test {
     WarmCaches(after);
   }
 
-  /// Runs both queries on `hin` through a BatchRunner with a pool of
-  /// `threads` workers (0 = no pool) and returns the serialized results.
+  /// Runs the three queries on `hin` through a BatchRunner with a pool
+  /// of `threads` workers (0 = no pool) and returns the serialized
+  /// results. Adds the threads that looked up `index` to `seen`.
   static std::vector<std::string> RunGrid(const HinPtr& hin,
                                           const MetaPathIndex* index,
                                           std::size_t threads,
-                                          std::uint64_t expect_epoch) {
+                                          std::uint64_t expect_epoch,
+                                          std::set<std::thread::id>* seen) {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    const ThreadRecordingIndex recorder(
+        index, /*concurrent=*/true,
+        threads >= 2 ? ThreadRecordingIndex::kFanOutPatience
+                     : std::chrono::microseconds{0});
     EngineOptions options;
-    options.index = index;
+    options.index = index == nullptr ? nullptr : &recorder;
     options.exec.pool = pool.get();
     BatchRunner runner(hin, options);
     const std::vector<BatchOutcome> outcomes =
-        runner.Run(std::vector<std::string>{kVenueQuery, kTermQuery});
+        runner.Run(std::vector<std::string>{kVenueQuery, kTermQuery,
+                                            kWideQuery});
+    EXPECT_GE(outcomes.back().result.stats.candidate_count,
+              2 * kMinRowsPerShard);
+    const std::set<std::thread::id> looked_up = recorder.threads();
+    seen->insert(looked_up.begin(), looked_up.end());
     std::vector<std::string> serialized;
     for (const BatchOutcome& outcome : outcomes) {
       EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
@@ -257,22 +278,30 @@ class IncrementalEquivalenceTest : public ::testing::Test {
 
   /// The gate: for one index configuration, the maintained-index
   /// snapshot run and the fresh-index rebuild run must serialize
-  /// byte-identical "outliers" arrays at every thread count.
+  /// byte-identical "outliers" arrays at every thread count. With an
+  /// index attached, the cells with 2+ workers must also have read it
+  /// from more than one thread: the wide query fanned out.
   static void ExpectEquivalence(const MetaPathIndex* maintained,
                                 const MetaPathIndex* fresh,
                                 const char* config) {
+    std::set<std::thread::id> pooled_threads;
     for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
+      std::set<std::thread::id> seen;
       const std::vector<std::string> got =
           RunGrid(world_->snapshot, maintained, threads,
-                  world_->final_epoch);
+                  world_->final_epoch, &seen);
       const std::vector<std::string> want =
-          RunGrid(world_->rebuild, fresh, threads, /*expect_epoch=*/0);
+          RunGrid(world_->rebuild, fresh, threads, /*expect_epoch=*/0, &seen);
+      if (threads >= 2) pooled_threads.insert(seen.begin(), seen.end());
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(ExtractOutliers(got[i]), ExtractOutliers(want[i]))
             << config << " diverged at " << threads << " threads, query "
             << i;
       }
+    }
+    if (maintained != nullptr) {
+      EXPECT_GT(pooled_threads.size(), 1u) << config;
     }
   }
 

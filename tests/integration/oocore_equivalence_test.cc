@@ -7,9 +7,12 @@
 // cache} index configurations. Paging is physical; answers are not
 // allowed to know about it.
 
+#include <chrono>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,8 +25,10 @@
 #include "index/spm_index.h"
 #include "query/batch.h"
 #include "query/engine.h"
+#include "query/executor.h"
 #include "query/result_json.h"
 #include "tests/scoped_temp_dir.h"
+#include "tests/thread_recording_index.h"
 
 namespace netout {
 namespace {
@@ -34,6 +39,10 @@ constexpr const char* kVenueQuery =
 constexpr const char* kTermQuery =
     "FIND OUTLIERS FROM author{\"star_1\"}.paper.author "
     "JUDGED BY author.paper.term TOP 5;";
+// Every author: 600 Materialize rows, past two kMinRowsPerShard shards,
+// so the grid's cells with 2+ workers run the sharded Materialize.
+constexpr const char* kWideQuery =
+    "FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;";
 
 /// The exact "outliers" array bytes of a serialized result — the
 /// bitwise-identity comparand (stats legitimately differ).
@@ -78,8 +87,8 @@ class OocoreEquivalenceTest : public ::testing::Test {
     BiblioConfig config;
     config.seed = 47;
     config.num_areas = 2;
-    config.authors_per_area = 40;
-    config.papers_per_area = 80;
+    config.authors_per_area = 300;
+    config.papers_per_area = 300;
     config.venues_per_area = 3;
     config.terms_per_area = 20;
     config.shared_terms = 10;
@@ -130,19 +139,30 @@ class OocoreEquivalenceTest : public ::testing::Test {
     world_ = nullptr;
   }
 
-  /// Both queries through a BatchRunner with a pool of `threads`
-  /// workers (0 = no pool), serialized.
+  /// The three queries through a BatchRunner with a pool of `threads`
+  /// workers (0 = no pool), serialized. Adds the threads that looked up
+  /// `index` to `seen`.
   static std::vector<std::string> RunGrid(const HinPtr& hin,
                                           const MetaPathIndex* index,
-                                          std::size_t threads) {
+                                          std::size_t threads,
+                                          std::set<std::thread::id>* seen) {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    const ThreadRecordingIndex recorder(
+        index, /*concurrent=*/true,
+        threads >= 2 ? ThreadRecordingIndex::kFanOutPatience
+                     : std::chrono::microseconds{0});
     EngineOptions options;
-    options.index = index;
+    options.index = index == nullptr ? nullptr : &recorder;
     options.exec.pool = pool.get();
     BatchRunner runner(hin, options);
     const std::vector<BatchOutcome> outcomes =
-        runner.Run(std::vector<std::string>{kVenueQuery, kTermQuery});
+        runner.Run(std::vector<std::string>{kVenueQuery, kTermQuery,
+                                            kWideQuery});
+    EXPECT_GE(outcomes.back().result.stats.candidate_count,
+              2 * kMinRowsPerShard);
+    const std::set<std::thread::id> looked_up = recorder.threads();
+    seen->insert(looked_up.begin(), looked_up.end());
     std::vector<std::string> serialized;
     for (const BatchOutcome& outcome : outcomes) {
       EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
@@ -154,18 +174,23 @@ class OocoreEquivalenceTest : public ::testing::Test {
 
   /// The gate: for one index configuration, the in-memory run and both
   /// sharded runs (renumber off and on) must serialize byte-identical
-  /// "outliers" arrays at every thread count.
+  /// "outliers" arrays at every thread count. With an index attached,
+  /// the cells with 2+ workers must also have read it from more than one
+  /// thread: the wide query fanned out over the paged graphs.
   static void ExpectEquivalence(const MetaPathIndex* mem_index,
                                 const MetaPathIndex* plain_index,
                                 const MetaPathIndex* packed_index,
                                 const char* config) {
+    std::set<std::thread::id> pooled_threads;
     for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
+      std::set<std::thread::id> seen;
       const std::vector<std::string> want =
-          RunGrid(world_->memory.hin, mem_index, threads);
+          RunGrid(world_->memory.hin, mem_index, threads, &seen);
       const std::vector<std::string> plain =
-          RunGrid(world_->sharded_plain.hin, plain_index, threads);
+          RunGrid(world_->sharded_plain.hin, plain_index, threads, &seen);
       const std::vector<std::string> packed =
-          RunGrid(world_->sharded_packed.hin, packed_index, threads);
+          RunGrid(world_->sharded_packed.hin, packed_index, threads, &seen);
+      if (threads >= 2) pooled_threads.insert(seen.begin(), seen.end());
       ASSERT_EQ(want.size(), plain.size());
       ASSERT_EQ(want.size(), packed.size());
       for (std::size_t i = 0; i < want.size(); ++i) {
@@ -176,6 +201,9 @@ class OocoreEquivalenceTest : public ::testing::Test {
             << config << " (renumber on) diverged at " << threads
             << " threads, query " << i;
       }
+    }
+    if (mem_index != nullptr) {
+      EXPECT_GT(pooled_threads.size(), 1u) << config;
     }
   }
 

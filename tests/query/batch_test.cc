@@ -8,12 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include "common/sync.h"
 #include "common/thread_pool.h"
 #include "datagen/biblio_gen.h"
 #include "datagen/workload.h"
 #include "index/cached_index.h"
 #include "query/engine.h"
+#include "tests/thread_recording_index.h"
 
 namespace netout {
 namespace {
@@ -57,6 +57,27 @@ void ExpectSameOutliers(const BatchOutcome& got, const BatchOutcome& want) {
     EXPECT_EQ(got.result.outliers[j].score, want.result.outliers[j].score);
   }
 }
+
+/// A network wide enough that a query over every author materializes
+/// 1.2k rows: past two kMinRowsPerShard shards, so a pool of two or more
+/// workers fans its Materialize out.
+const BiblioDataset& WideDataset() {
+  static const BiblioDataset dataset = [] {
+    BiblioConfig config;
+    config.seed = 41;
+    config.num_areas = 4;
+    config.authors_per_area = 300;
+    config.papers_per_area = 600;
+    config.venues_per_area = 4;
+    config.terms_per_area = 20;
+    config.shared_terms = 10;
+    return GenerateBiblio(config).value();
+  }();
+  return dataset;
+}
+
+constexpr const char* kWideQuery =
+    "FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 10;";
 
 TEST_F(BatchFixture, ParallelMatchesSequential) {
   WorkloadConfig workload;
@@ -178,30 +199,6 @@ TEST_F(BatchFixture, NonConcurrentIndexIsRejected) {
   EXPECT_TRUE(accepted[0].status.ok());
 }
 
-/// Records every thread that looked something up; never hits.
-class ThreadRecordingIndex : public MetaPathIndex {
- public:
-  explicit ThreadRecordingIndex(bool concurrent) : concurrent_(concurrent) {}
-
-  std::optional<IndexHit> Lookup(const TwoStepKey&, LocalId) const override {
-    MutexLock lock(mutex_);
-    threads_.insert(std::this_thread::get_id());
-    return std::nullopt;
-  }
-  std::size_t MemoryBytes() const override { return 0; }
-  bool SupportsConcurrentUse() const override { return concurrent_; }
-
-  std::set<std::thread::id> threads() const {
-    MutexLock lock(mutex_);
-    return threads_;
-  }
-
- private:
-  const bool concurrent_;
-  mutable Mutex mutex_;
-  mutable std::set<std::thread::id> threads_ NETOUT_GUARDED_BY(mutex_);
-};
-
 // Regression: a 1-worker runner used to build a pool of one, and
 // TaskGroup::Wait help-drains the group's own tasks on the caller, so
 // the worker and the waiting thread ran ops at the same time — sharing
@@ -215,7 +212,7 @@ TEST_F(BatchFixture, SingleWorkerRunsOnTheCallingThreadOnly) {
   const auto queries = GenerateWorkload(*dataset_->hin, "author",
                                         QueryTemplate::kQ1, workload)
                            .value();
-  ThreadRecordingIndex index(/*concurrent=*/false);
+  ThreadRecordingIndex index(nullptr, /*concurrent=*/false);
   BatchRunner runner(dataset_->hin, WithPool(nullptr, &index));
   const auto outcomes = runner.Run(queries);
   ASSERT_EQ(outcomes.size(), queries.size());
@@ -238,7 +235,7 @@ TEST_F(BatchFixture, OneQueryBatchStaysOnTheCallingThread) {
   const auto queries = GenerateWorkload(*dataset_->hin, "author",
                                         QueryTemplate::kQ1, workload)
                            .value();
-  ThreadRecordingIndex index(/*concurrent=*/true);
+  ThreadRecordingIndex index;
   ThreadPool pool(2);
   BatchRunner runner(dataset_->hin, WithPool(&pool, &index));
   for (const std::string& query : queries) {
@@ -254,7 +251,9 @@ TEST_F(BatchFixture, OneQueryBatchStaysOnTheCallingThread) {
 
 // The sharded CachedIndex is concurrent-safe, so sharing one with a
 // pool is supported — and warms across queries: outcomes must match the
-// un-cached run without a pool.
+// un-cached run without a pool. The light Q1 batch runs inline; the
+// wide query fans its Materialize out, so pool workers hit and fill the
+// cache at the same time.
 TEST_F(BatchFixture, SharedCachedIndexAcrossWorkers) {
   WorkloadConfig workload;
   workload.num_queries = 24;
@@ -274,6 +273,24 @@ TEST_F(BatchFixture, SharedCachedIndexAcrossWorkers) {
     ExpectSameOutliers(outcomes[i], expected[i]);
   }
   EXPECT_GT(cache.stats().insertions, 0u);
+
+  const BiblioDataset& wide = WideDataset();
+  const std::vector<std::string> wide_queries = {kWideQuery};
+  BatchRunner wide_reference(wide.hin, EngineOptions{});
+  const auto wide_expected = wide_reference.Run(wide_queries);
+  CachedIndex wide_cache;
+  const ThreadRecordingIndex recorder(&wide_cache, /*concurrent=*/true,
+                                      ThreadRecordingIndex::kFanOutPatience);
+  BatchRunner wide_runner(wide.hin, WithPool(&pool, &recorder));
+  // Cold, then warm: the second pass mixes hits with misses.
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto wide_outcomes = wide_runner.Run(wide_queries);
+    ASSERT_EQ(wide_outcomes.size(), 1u);
+    ExpectSameOutliers(wide_outcomes[0], wide_expected[0]);
+  }
+  EXPECT_GT(recorder.threads().size(), 1u);
+  EXPECT_GT(wide_cache.stats().insertions, 0u);
+  EXPECT_GT(wide_cache.stats().hits, 0u);
 }
 
 TEST_F(BatchFixture, EmptyBatch) {
@@ -302,23 +319,11 @@ TEST_F(BatchFixture, ReusableAcrossRuns) {
 // the pool with top-k bitwise equal to the run without a pool.
 class FanOutFixture : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    BiblioConfig config;
-    config.seed = 41;
-    config.num_areas = 4;
-    config.authors_per_area = 300;
-    config.papers_per_area = 600;
-    config.venues_per_area = 4;
-    config.terms_per_area = 20;
-    config.shared_terms = 10;
-    dataset_ = new BiblioDataset(GenerateBiblio(config).value());
-  }
-  static void TearDownTestSuite() { delete dataset_; }
-
   /// Runs `query` through an Engine and through a one-query BatchRunner.
   static std::vector<BatchOutcome> RunBoth(const EngineOptions& options,
                                            const std::string& query) {
-    Engine engine(dataset_->hin, options);
+    const HinPtr& hin = WideDataset().hin;
+    Engine engine(hin, options);
     Result<QueryResult> solo = engine.Execute(query);
     std::vector<BatchOutcome> outcomes(1);
     if (solo.ok()) {
@@ -326,23 +331,19 @@ class FanOutFixture : public ::testing::Test {
     } else {
       outcomes[0].status = solo.status();
     }
-    BatchRunner runner(dataset_->hin, options);
+    BatchRunner runner(hin, options);
     outcomes.push_back(
         std::move(runner.Run(std::vector<std::string>{query})[0]));
     return outcomes;
   }
-
-  static BiblioDataset* dataset_;
 };
-
-BiblioDataset* FanOutFixture::dataset_ = nullptr;
 
 TEST_F(FanOutFixture, SmallQueryStaysOnTheCallingThread) {
   const std::string query = "FIND OUTLIERS FROM author{\"" +
-                            dataset_->star_names[0] +
+                            WideDataset().star_names[0] +
                             "\"}.paper.author JUDGED BY author.paper.venue "
                             "TOP 5;";
-  ThreadRecordingIndex index(/*concurrent=*/true);
+  ThreadRecordingIndex index;
   ThreadPool pool(4);
   const std::vector<BatchOutcome> outcomes =
       RunBoth(WithPool(&pool, &index), query);
@@ -357,14 +358,13 @@ TEST_F(FanOutFixture, SmallQueryStaysOnTheCallingThread) {
 }
 
 TEST_F(FanOutFixture, LargeQueryFansOutWithIdenticalTopK) {
-  const std::string query =
-      "FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 10;";
+  const std::string query = kWideQuery;
   const std::vector<BatchOutcome> serial =
       RunBoth(WithPool(nullptr), query);
   ASSERT_TRUE(serial[0].status.ok()) << serial[0].status.ToString();
   EXPECT_GE(serial[0].result.stats.candidate_count, 1000u);
 
-  ThreadRecordingIndex index(/*concurrent=*/true);
+  ThreadRecordingIndex index;
   ThreadPool pool(4);
   // A shard is a few milliseconds of work, so the workers all but always
   // take some; repeat so a loaded host that lets the caller drain every

@@ -4,7 +4,11 @@
 // poison unrelated queries of a batch, and — when armed but generous —
 // leave results bitwise identical to an unlimited run.
 
+#include <chrono>
 #include <memory>
+#include <set>
+#include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -12,11 +16,13 @@
 #include "common/thread_pool.h"
 #include "datagen/biblio_gen.h"
 #include "index/cached_index.h"
+#include "metapath/evaluator.h"
 #include "query/analyzer.h"
 #include "query/batch.h"
 #include "query/engine.h"
 #include "query/parser.h"
 #include "query/progressive.h"
+#include "tests/thread_recording_index.h"
 
 namespace netout {
 namespace {
@@ -26,9 +32,11 @@ class LimitsFixture : public ::testing::Test {
   static void SetUpTestSuite() {
     BiblioConfig config;
     config.seed = 17;
+    // 600 authors: a query over all of them (WideQuery) materializes past
+    // two kMinRowsPerShard shards, so its pooled runs go sharded.
     config.num_areas = 3;
-    config.authors_per_area = 60;
-    config.papers_per_area = 200;
+    config.authors_per_area = 200;
+    config.papers_per_area = 400;
     config.venues_per_area = 4;
     config.terms_per_area = 30;
     config.shared_terms = 12;
@@ -45,25 +53,31 @@ class LimitsFixture : public ::testing::Test {
            "\"}.paper.author JUDGED BY author.paper.venue TOP 5;";
   }
 
+  static std::string WideQuery() {
+    return "FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;";
+  }
+
   static BiblioDataset* dataset_;
 };
 
 BiblioDataset* LimitsFixture::dataset_ = nullptr;
 
 TEST_F(LimitsFixture, ZeroDeadlineDegradesPromptlyAcrossThreadCounts) {
-  const QueryPlan plan = MakePlan(StarQuery());
-  for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-    ExecOptions options;
-    options.pool = pool.get();
-    options.timeout_millis = 0;  // expired before the first operator
-    options.stop_policy = StopPolicy::kPartial;
-    Executor executor(dataset_->hin, nullptr, options);
-    const QueryResult result = executor.Run(plan).value();
-    EXPECT_TRUE(result.degraded) << "threads=" << threads;
-    EXPECT_EQ(result.stop_reason, StopReason::kDeadline);
-    EXPECT_TRUE(result.outliers.empty());
+  for (const std::string& query : {StarQuery(), WideQuery()}) {
+    const QueryPlan plan = MakePlan(query);
+    for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      ExecOptions options;
+      options.pool = pool.get();
+      options.timeout_millis = 0;  // expired before the first operator
+      options.stop_policy = StopPolicy::kPartial;
+      Executor executor(dataset_->hin, nullptr, options);
+      const QueryResult result = executor.Run(plan).value();
+      EXPECT_TRUE(result.degraded) << "threads=" << threads;
+      EXPECT_EQ(result.stop_reason, StopReason::kDeadline);
+      EXPECT_TRUE(result.outliers.empty());
+    }
   }
 }
 
@@ -113,34 +127,91 @@ TEST_F(LimitsFixture, ExternalCancelStopsTheRun) {
 // Armed-but-untripped limits must not perturb results: every poll is a
 // no-op and every charge just counts, so outliers are bitwise identical
 // to the unlimited run — across thread counts and with the cache index.
+// The wide query's pooled runs charge the budget from several shards at
+// once.
 TEST_F(LimitsFixture, GenerousLimitsAreBitwiseInvisible) {
-  const QueryPlan plan = MakePlan(StarQuery());
-  Executor baseline(dataset_->hin, nullptr, ExecOptions{});
-  const QueryResult expected = baseline.Run(plan).value();
-  ASSERT_FALSE(expected.outliers.empty());
+  for (const std::string& query : {StarQuery(), WideQuery()}) {
+    const QueryPlan plan = MakePlan(query);
+    Executor baseline(dataset_->hin, nullptr, ExecOptions{});
+    const QueryResult expected = baseline.Run(plan).value();
+    ASSERT_FALSE(expected.outliers.empty());
+    const bool wide = expected.stats.candidate_count >= 2 * kMinRowsPerShard;
+    EXPECT_EQ(wide, query == WideQuery());
 
-  CachedIndex cache;
-  for (const bool with_cache : {false, true}) {
+    CachedIndex cache;
+    // The threads that evaluated rows in the cached cells with 2+ workers.
+    std::set<std::thread::id> pooled_threads;
+    for (const bool with_cache : {false, true}) {
+      for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+        ExecOptions options;
+        options.pool = pool.get();
+        options.timeout_millis = 3'600'000;            // 1 h: never trips
+        options.memory_budget_bytes = std::size_t{1} << 40;  // 1 TiB
+        options.stop_policy = StopPolicy::kPartial;
+        const ThreadRecordingIndex recorder(
+            &cache, /*concurrent=*/true,
+            wide && threads >= 2 ? ThreadRecordingIndex::kFanOutPatience
+                                 : std::chrono::microseconds{0});
+        Executor limited(dataset_->hin, with_cache ? &recorder : nullptr,
+                         options);
+        const QueryResult got = limited.Run(plan).value();
+        EXPECT_FALSE(got.degraded);
+        EXPECT_EQ(got.stop_reason, StopReason::kNone);
+        ASSERT_EQ(got.outliers.size(), expected.outliers.size())
+            << "threads=" << threads << " cache=" << with_cache;
+        for (std::size_t i = 0; i < expected.outliers.size(); ++i) {
+          EXPECT_EQ(got.outliers[i].name, expected.outliers[i].name);
+          EXPECT_EQ(got.outliers[i].score, expected.outliers[i].score)
+              << "threads=" << threads << " cache=" << with_cache;
+        }
+        if (with_cache && threads >= 2) {
+          const std::set<std::thread::id> seen = recorder.threads();
+          pooled_threads.insert(seen.begin(), seen.end());
+        }
+      }
+    }
+    EXPECT_EQ(pooled_threads.size() > 1, wide) << query;
+  }
+}
+
+// A budget that trips halfway through the wide query's Materialize:
+// with a pool, the trip lands inside one shard while the others run or
+// wait in the queue. Every width must stop with the budget reason and
+// no ranking — a skipped shard's unwritten rows never reach scoring.
+TEST_F(LimitsFixture, BudgetTripInsideShardedMaterializeStopsCleanly) {
+  const QueryPlan plan = MakePlan(WideQuery());
+  ASSERT_FALSE(plan.features.empty());
+  std::size_t full_bytes = 0;
+  NeighborVectorEvaluator evaluator(dataset_->hin, nullptr);
+  for (LocalId v = 0; v < dataset_->hin->NumVertices(dataset_->author_type);
+       ++v) {
+    full_bytes += evaluator
+                      .Evaluate(VertexRef{dataset_->author_type, v},
+                                plan.features[0].path, nullptr)
+                      .value()
+                      .MemoryBytes();
+  }
+  for (const StopPolicy policy : {StopPolicy::kPartial, StopPolicy::kError}) {
     for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
       std::unique_ptr<ThreadPool> pool;
       if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
       ExecOptions options;
       options.pool = pool.get();
-      options.timeout_millis = 3'600'000;            // 1 h: never trips
-      options.memory_budget_bytes = std::size_t{1} << 40;  // 1 TiB
-      options.stop_policy = StopPolicy::kPartial;
-      Executor limited(dataset_->hin, with_cache ? &cache : nullptr,
-                       options);
-      const QueryResult got = limited.Run(plan).value();
-      EXPECT_FALSE(got.degraded);
-      EXPECT_EQ(got.stop_reason, StopReason::kNone);
-      ASSERT_EQ(got.outliers.size(), expected.outliers.size())
-          << "threads=" << threads << " cache=" << with_cache;
-      for (std::size_t i = 0; i < expected.outliers.size(); ++i) {
-        EXPECT_EQ(got.outliers[i].name, expected.outliers[i].name);
-        EXPECT_EQ(got.outliers[i].score, expected.outliers[i].score)
-            << "threads=" << threads << " cache=" << with_cache;
+      options.memory_budget_bytes = full_bytes / 2;
+      options.stop_policy = policy;
+      Executor executor(dataset_->hin, nullptr, options);
+      const Result<QueryResult> result = executor.Run(plan);
+      if (policy == StopPolicy::kError) {
+        EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+            << "threads=" << threads;
+        continue;
       }
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(result.value().degraded) << "threads=" << threads;
+      EXPECT_EQ(result.value().stop_reason, StopReason::kBudget);
+      EXPECT_TRUE(result.value().outliers.empty()) << "threads=" << threads;
     }
   }
 }

@@ -1,5 +1,8 @@
+#include <chrono>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/progressive.h"
+#include "tests/thread_recording_index.h"
 
 namespace netout {
 namespace {
@@ -26,7 +30,13 @@ namespace {
 // order (prefix extension replays the same per-hop accumulations).
 class PlanExecFixture : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { hin_ = BuildHubGraph(40); }
+
+  /// `coauthors` authors co-authoring with Hub in venue v<i%4>, with
+  /// per-author solo records of varying size so WHERE thresholds bite
+  /// unevenly, plus Rex: Hub's one co-author who otherwise publishes in
+  /// venue "odd". The type ids come out the same for every size.
+  HinPtr BuildHubGraph(int coauthors) {
     GraphBuilder builder;
     author_ = builder.AddVertexType("author").value();
     paper_ = builder.AddVertexType("paper").value();
@@ -41,13 +51,11 @@ class PlanExecFixture : public ::testing::Test {
       const std::string name =
           std::string("p").append(std::to_string(serial++));
       for (const std::string& a : authors) {
-        ASSERT_TRUE(builder.AddEdgeByName("writes", a, name).ok());
+        builder.AddEdgeByName("writes", a, name).CheckOk();
       }
-      ASSERT_TRUE(builder.AddEdgeByName("published_in", name, venue).ok());
+      builder.AddEdgeByName("published_in", name, venue).CheckOk();
     };
-    // 40 authors co-authoring with Hub in venue v<i%4>, with per-author
-    // solo records of varying size so WHERE thresholds bite unevenly.
-    for (int i = 0; i < 40; ++i) {
+    for (int i = 0; i < coauthors; ++i) {
       const std::string who = std::string("a").append(std::to_string(i));
       paper_with({"Hub", who}, std::string("v").append(std::to_string(i % 4)));
       for (int p = 0; p < i % 7; ++p) {
@@ -56,23 +64,26 @@ class PlanExecFixture : public ::testing::Test {
     }
     paper_with({"Hub", "Rex"}, "v0");
     for (int p = 0; p < 6; ++p) paper_with({"Rex"}, "odd");
-    hin_ = builder.Finish().value();
+    return builder.Finish().value();
   }
 
-  QueryPlan Prepare(const std::string& query) {
+  QueryPlan Prepare(const std::string& query) { return Prepare(hin_, query); }
+  static QueryPlan Prepare(const HinPtr& hin, const std::string& query) {
     const QueryAst ast = ParseQuery(query).value();
-    return AnalyzeQuery(*hin_, ast).value();
+    return AnalyzeQuery(*hin, ast).value();
   }
 
-  /// Runs `plan` with a pool of `threads` workers (0 = no pool).
-  QueryResult Run(const QueryPlan& plan, const MetaPathIndex* index,
-                  std::size_t threads, bool cse) {
+  /// Runs `plan` on `hin` with a pool of `threads` workers (0 = no
+  /// pool).
+  static QueryResult Run(const HinPtr& hin, const QueryPlan& plan,
+                         const MetaPathIndex* index, std::size_t threads,
+                         bool cse) {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
     ExecOptions options;
     options.pool = pool.get();
     options.plan_cse = cse;
-    Executor executor(hin_, index, options);
+    Executor executor(hin, index, options);
     return executor.Run(plan).value();
   }
 
@@ -97,41 +108,82 @@ class PlanExecFixture : public ::testing::Test {
   HinPtr hin_;
 };
 
+// The grid runs on two sizes of the same graph: Hub's 41 co-authors
+// keep every operator inline, while the wide graph's 601 reach two
+// kMinRowsPerShard shards, so its pooled cells run the sharded
+// Materialize under every index and with CSE on and off.
 TEST_F(PlanExecFixture, TopKBitwiseIdenticalAcrossThreadsIndexesAndCse) {
-  const QueryPlan plan = Prepare(R"(
+  const std::string query = R"(
       FIND OUTLIERS FROM author{"Hub"}.paper.author
       JUDGED BY author.paper.venue : 2.0, author.paper.author,
                 author.paper.venue.paper.author
       TOP 10;
-  )");
-  const QueryResult baseline = Run(plan, nullptr, 0, true);
-  ASSERT_EQ(baseline.outliers.size(), 10u);
-
-  const auto pm = PmIndex::Build(*hin_).value();
-  std::vector<VertexRef> hot;
-  for (LocalId v = 0; v < hin_->NumVertices(author_); v += 2) {
-    hot.push_back(VertexRef{author_, v});
-  }
-  const auto spm = SpmIndex::BuildForVertices(*hin_, hot).value();
-  CachedIndex cache;
-
-  struct Mode {
+  )";
+  struct World {
     const char* name;
-    const MetaPathIndex* index;
+    HinPtr hin;
+    bool fans_out;
   };
-  const Mode modes[] = {{"none", nullptr},
-                        {"pm", pm.get()},
-                        {"spm", spm.get()},
-                        {"cache", &cache}};
-  for (const Mode& mode : modes) {
-    for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
-      for (const bool cse : {true, false}) {
-        const QueryResult result = Run(plan, mode.index, threads, cse);
-        ExpectBitwiseEqual(baseline, result,
-                           std::string(mode.name) + " threads=" +
-                               std::to_string(threads) +
-                               " cse=" + (cse ? "on" : "off"));
+  const World worlds[] = {{"hub", hin_, false},
+                          {"wide", BuildHubGraph(600), true}};
+  for (const World& world : worlds) {
+    const QueryPlan plan = Prepare(world.hin, query);
+    const QueryResult baseline = Run(world.hin, plan, nullptr, 0, true);
+    ASSERT_EQ(baseline.outliers.size(), 10u);
+    EXPECT_EQ(baseline.stats.candidate_count >= 2 * kMinRowsPerShard,
+              world.fans_out)
+        << world.name;
+
+    const auto pm = PmIndex::Build(*world.hin).value();
+    std::vector<VertexRef> hot;
+    for (LocalId v = 0; v < world.hin->NumVertices(author_); v += 2) {
+      hot.push_back(VertexRef{author_, v});
+    }
+    const auto spm = SpmIndex::BuildForVertices(*world.hin, hot).value();
+    CachedIndex cache;
+
+    struct Mode {
+      const char* name;
+      const MetaPathIndex* index;
+    };
+    const Mode modes[] = {{"none", nullptr},
+                          {"pm", pm.get()},
+                          {"spm", spm.get()},
+                          {"cache", &cache}};
+    // The threads that evaluated rows in the cells with 2+ workers.
+    std::set<std::thread::id> pooled_threads;
+    for (const Mode& mode : modes) {
+      for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
+        for (const bool cse : {true, false}) {
+          const std::string context =
+              std::string(world.name) + " " + mode.name +
+              " threads=" + std::to_string(threads) +
+              " cse=" + (cse ? "on" : "off");
+          if (mode.index == nullptr) {
+            ExpectBitwiseEqual(
+                baseline, Run(world.hin, plan, nullptr, threads, cse),
+                context);
+            continue;
+          }
+          const ThreadRecordingIndex recorder(
+              mode.index, /*concurrent=*/true,
+              world.fans_out && threads >= 2
+                  ? ThreadRecordingIndex::kFanOutPatience
+                  : std::chrono::microseconds{0});
+          ExpectBitwiseEqual(baseline,
+                             Run(world.hin, plan, &recorder, threads, cse),
+                             context);
+          if (threads >= 2) {
+            const std::set<std::thread::id> seen = recorder.threads();
+            pooled_threads.insert(seen.begin(), seen.end());
+          }
+        }
       }
+    }
+    if (world.fans_out) {
+      EXPECT_GT(pooled_threads.size(), 1u) << world.name;
+    } else {
+      EXPECT_EQ(pooled_threads.size(), 1u) << world.name;
     }
   }
 }

@@ -237,6 +237,25 @@ TEST_F(ServerTest, PingStatsConfig) {
             server_->port());
 }
 
+// The pool only widens large operators; one dispatcher still drains the
+// queue, so a wider pool must not raise the backlog thresholds.
+TEST_F(ServerTest, BacklogDefaultsDoNotScaleWithPoolWidth) {
+  ServerOptions options;
+  options.num_threads = 8;
+  StartServer(options);
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.SendLine("{\"op\":\"config\"}").ok());
+  JsonValue config = MustParse(client.ReadLine().value());
+  ASSERT_TRUE(config.Find("ok")->bool_value());
+  const JsonValue* body = config.Find("config");
+  EXPECT_EQ(body->Find("num_threads")->AsInt64().value(), 8);
+  EXPECT_EQ(body->Find("shed_backlog")->AsInt64().value(),
+            static_cast<std::int64_t>(kDefaultShedBacklog));
+  EXPECT_EQ(body->Find("max_backlog")->AsInt64().value(),
+            static_cast<std::int64_t>(kDefaultMaxBacklog));
+}
+
 TEST_F(ServerTest, QueryBitwiseIdenticalToSoloEngine) {
   StartServer();
   const std::string expected = ExtractOutliers(SoloResultJson(kStarQuery));
